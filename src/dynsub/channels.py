@@ -32,11 +32,13 @@ from .matcore import (
     _as_square,
     _square_side,
     eig_hermitian,
+    hermitian_eigvals,
     hermiticity_defect,
     kron,
     max_entangled_projector,
     partial_trace,
     reshuffle,
+    spectrum_entropy,
     validate_density_matrix,
     von_neumann_entropy,
 )
@@ -69,9 +71,10 @@ class KrausSet:
 class Channel:
     """A quantum map with its Choi matrix as the canonical representation.
 
-    CP/TP/unitality flags are computed lazily and cached; instances should
-    be treated as immutable.  For concurrent use, call :meth:`revalidate`
-    once before sharing across threads.
+    The CP/TP/unitality flags and the spectrum of D/N, which gives ``is_cp``
+    and :func:`map_entropy`, are computed from it on first use and cached;
+    instances should be treated as immutable.  For concurrent use, call
+    :meth:`revalidate` once before sharing across threads.
     """
 
     def __init__(self, choi: np.ndarray, tol: float = FLAG_TOL):
@@ -82,7 +85,7 @@ class Channel:
         self._is_cp: bool | None = None
         self._is_tp: bool | None = None
         self._is_unital: bool | None = None
-        self._superop: np.ndarray | None = None
+        self._jam_spectrum: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -103,26 +106,28 @@ class Channel:
         if any(a.shape != (n, n) for a in ops):
             raise DimensionError("Kraus operators have mixed dimensions")
         d = sum(np.outer(a.reshape(-1), a.reshape(-1).conj()) for a in ops)
-        ch = cls(d, tol=tol)
-        ch._is_cp = True
-        return ch
+        return cls(d, tol=tol)
 
     @property
     def superop(self) -> np.ndarray:
-        if self._superop is None:
-            self._superop = reshuffle(self.choi)
-        return self._superop
+        return reshuffle(self.choi)
+
+    @property
+    def jam_spectrum(self) -> np.ndarray:
+        """Ascending eigenvalues of the Jamiolkowski matrix D/N, computed once; read-only."""
+        if self._jam_spectrum is None:
+            self._jam_spectrum = hermitian_eigvals(self.choi / self._dim, self.tol, "D/N")
+            self._jam_spectrum.flags.writeable = False
+        return self._jam_spectrum
 
     # -- structural predicates -------------------------------------------
 
     @property
     def is_cp(self) -> bool:
+        """D is Hermitian within ``tol`` and N * min eig(D/N) >= -tol."""
         if self._is_cp is None:
-            if hermiticity_defect(self.choi) > self.tol:
-                self._is_cp = False
-            else:
-                vals = np.linalg.eigvalsh((self.choi + self.choi.conj().T) / 2)
-                self._is_cp = bool(vals.min() >= -self.tol)
+            hermitian = hermiticity_defect(self.choi) <= self.tol
+            self._is_cp = hermitian and bool(self._dim * self.jam_spectrum.min() >= -self.tol)
         return self._is_cp
 
     @property
@@ -140,8 +145,7 @@ class Channel:
         return self._is_unital
 
     def revalidate(self) -> tuple[bool, bool, bool]:
-        """Recompute and cache all three flags; returns (cp, tp, unital)."""
-        self._is_cp = self._is_tp = self._is_unital = None
+        """Compute and cache all three flags; returns (cp, tp, unital)."""
         return (self.is_cp, self.is_tp, self.is_unital)
 
     # -- action and algebra ----------------------------------------------
@@ -173,10 +177,6 @@ class Channel:
         for _ in range(n - 1):
             out = out.compose(self)
         return out
-
-
-def compose(later: Channel, earlier: Channel) -> Channel:
-    return later.compose(earlier)
 
 
 def to_kraus(channel: Channel, cutoff: float = KRAUS_CUTOFF) -> KrausSet:
@@ -213,18 +213,23 @@ def apply_kraus(operators, rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def jam_state(channel: Channel) -> np.ndarray:
-    """The Jamiolkowski state Choi/N of a CP-TP channel."""
+def _require_cptp(channel: Channel) -> None:
     if not channel.is_cp:
         raise PositivityError("channel is not completely positive")
     if not channel.is_tp:
         raise TraceError("channel is not trace preserving")
+
+
+def jam_state(channel: Channel) -> np.ndarray:
+    """The Jamiolkowski state Choi/N of a CP-TP channel."""
+    _require_cptp(channel)
     return channel.choi / channel.dim
 
 
 def map_entropy(channel: Channel) -> float:
-    """Entropy of the Jamiolkowski state, in [0, 2 ln N]."""
-    s = von_neumann_entropy(jam_state(channel))
+    """Entropy of the Jamiolkowski state, in [0, 2 ln N], from the cached spectrum."""
+    _require_cptp(channel)
+    s = spectrum_entropy(channel.jam_spectrum)
     upper = 2 * np.log(channel.dim) + 1e-9
     if not -1e-12 <= s <= upper:
         raise NumericalError(f"map entropy {s} outside [0, 2 ln N]")
@@ -309,16 +314,12 @@ def coherent_information(channel: Channel, rho: np.ndarray) -> float:
 
 
 def identity_channel(n: int) -> Channel:
-    ch = Channel.from_kraus([np.eye(n)])
-    ch._is_tp = ch._is_unital = True
-    return ch
+    return Channel.from_kraus([np.eye(n)])
 
 
 def depolarizing_channel(n: int) -> Channel:
     """Sends every state to the maximally mixed one; Choi is eye/N."""
-    ch = Channel(np.eye(n * n, dtype=complex) / n)
-    ch._is_cp = ch._is_tp = ch._is_unital = True
-    return ch
+    return Channel(np.eye(n * n, dtype=complex) / n)
 
 
 def coarse_graining_channel(n: int) -> Channel:
@@ -329,18 +330,14 @@ def coarse_graining_channel(n: int) -> Channel:
 def contraction_channel(rho0: np.ndarray) -> Channel:
     """Sends every state to rho0; Choi is rho0 (x) eye."""
     rho0 = validate_density_matrix(np.asarray(rho0, dtype=complex))
-    ch = Channel(kron(rho0, np.eye(rho0.shape[0])))
-    ch._is_cp = ch._is_tp = True
-    return ch
+    return Channel(kron(rho0, np.eye(rho0.shape[0])))
 
 
 def unitary_channel(u: np.ndarray, tol: float = 1e-9) -> Channel:
     u = _as_square(np.asarray(u, dtype=complex))
     if np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() > tol:
         raise UnitarityError("matrix is not unitary within tolerance")
-    ch = Channel.from_kraus([u])
-    ch._is_tp = ch._is_unital = True
-    return ch
+    return Channel.from_kraus([u])
 
 
 # -- classical embedding ----------------------------------------------------
@@ -360,16 +357,13 @@ def diag_channel_from_stochastic(t: np.ndarray) -> Channel:
     all off-diagonal entries.
     """
     t = classical.validate_stochastic(np.asarray(t, dtype=float))
-    ch = Channel(np.diag(np.clip(t, 0.0, None).reshape(-1)).astype(complex))
-    ch._is_cp = ch._is_tp = True
-    return ch
+    return Channel(np.diag(np.clip(t, 0.0, None).reshape(-1)).astype(complex))
 
 
 __all__ = [
     "Channel",
     "KrausSet",
     "LindbladBounds",
-    "compose",
     "to_kraus",
     "apply_kraus",
     "jam_state",

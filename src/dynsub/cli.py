@@ -40,7 +40,7 @@ def _emit(obj) -> None:
 
 def _cmd_verify(args) -> int:
     suites = [args.suite] if args.suite else None
-    dims = [args.dim] if args.dim else None
+    dims = [args.dim] if args.dim is not None else None
     tol = args.tol if args.tol is not None else INEQ_TOL
     reports = run_all(args.seed, samples=args.samples, tol=tol, suites=suites, dims=dims)
     payload = {

@@ -34,6 +34,7 @@ from .channels import (
     sigma_hat,
     stochastic_from_channel,
 )
+from .errors import DomainError
 from .matcore import max_entangled_projector, partial_trace, von_neumann_entropy
 from .randgen import (
     RngStream,
@@ -416,6 +417,8 @@ def run_suite(
     """Run one suite at one dimension and aggregate the worst slacks."""
     if suite not in SUITES:
         raise KeyError(f"unknown suite {suite!r}")
+    if dim < 1 or samples < 1:
+        raise DomainError(f"dim and samples must be at least 1, got {dim} and {samples}")
     start = time.perf_counter()
     worker = lambda index: evaluate_sample(suite, dim, seed, index, tol)
     threads = _thread_count()
@@ -436,7 +439,6 @@ def run_suite(
             if key < worst:
                 worst = key
                 worst_check = c
-    assert worst_check is not None
 
     report = SuiteReport(
         suite=suite,
@@ -469,8 +471,9 @@ def run_all(
 ) -> list[SuiteReport]:
     """Run the configured (suite, dim) grid; None keeps per-suite defaults."""
     reports = []
-    for name in suites or list(SUITES):
+    for name in list(SUITES) if suites is None else suites:
         _, default_dims, default_samples = SUITES[name]
-        for dim in dims or default_dims:
-            reports.append(run_suite(name, dim, samples or default_samples, seed, tol))
+        for dim in default_dims if dims is None else dims:
+            count = default_samples if samples is None else samples
+            reports.append(run_suite(name, dim, count, seed, tol))
     return reports

@@ -95,6 +95,11 @@ def max_entangled_projector(n: int) -> np.ndarray:
     return np.outer(v, v) / n
 
 
+def hermitian_part(x: np.ndarray) -> np.ndarray:
+    """``(x + x^dag)/2``; exactly Hermitian, so applying it twice changes no bit."""
+    return (x + x.conj().T) / 2
+
+
 def hermiticity_defect(x: np.ndarray) -> float:
     """Max-norm distance from the Hermitian part, relative to max(1, |x|_max)."""
     x = _as_square(x)
@@ -102,21 +107,49 @@ def hermiticity_defect(x: np.ndarray) -> float:
     return float(np.abs(x - x.conj().T).max()) / scale
 
 
-def eig_hermitian(x: np.ndarray, hermit_tol: float = HERMIT_TOL):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns ``(values, vectors)`` with values ascending and eigenvectors in
-    the columns of ``vectors``.  The input is symmetrized before the
-    decomposition; a deviation from Hermiticity beyond ``hermit_tol``
-    (relative to ``max(1, |x|_max)``) raises :class:`HermiticityError`.
-    """
+def _checked_hermitian_part(x: np.ndarray, hermit_tol: float, what: str) -> np.ndarray:
     x = _as_square(x)
     if hermiticity_defect(x) > hermit_tol:
-        raise HermiticityError(
-            f"matrix deviates from Hermiticity by {hermiticity_defect(x):.3e}"
-        )
-    vals, vecs = np.linalg.eigh((x + x.conj().T) / 2)
-    return vals, vecs
+        raise HermiticityError(f"{what} deviates from Hermiticity by {hermiticity_defect(x):.3e}")
+    return hermitian_part(x)
+
+
+def hermitian_eigvals(x: np.ndarray, hermit_tol: float, what: str = "matrix") -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian part of ``x``; the package's spectral kernel.
+
+    Raises :class:`HermiticityError` if ``hermiticity_defect(x) > hermit_tol``.
+    """
+    return np.linalg.eigvalsh(_checked_hermitian_part(x, hermit_tol, what))
+
+
+def eig_hermitian(x: np.ndarray, hermit_tol: float = HERMIT_TOL):
+    """Eigendecomposition of a Hermitian matrix, checked as in :func:`hermitian_eigvals`.
+
+    Returns ``(values, vectors)`` with values ascending and eigenvectors in
+    the columns of ``vectors``.
+    """
+    return np.linalg.eigh(_checked_hermitian_part(x, hermit_tol, "matrix"))
+
+
+def check_spectrum(vals: np.ndarray, tol: float, upper=None, error=PositivityError, what="matrix"):
+    """Return ``vals``; raise ``error`` if one lies below ``-tol`` or above ``upper + tol``."""
+    if vals.min() < -tol:
+        raise error(f"{what} eigenvalue {vals.min():.3e} below 0")
+    if upper is not None and vals.max() > upper + tol:
+        raise error(f"{what} eigenvalue {vals.max():.3e} above {upper:g}")
+    return vals
+
+
+def psd_sqrt(x: np.ndarray) -> np.ndarray:
+    """Square root of a matrix PSD by construction; negative eigenvalues count as 0."""
+    vals, vecs = np.linalg.eigh(hermitian_part(x))
+    return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
+
+
+def psd_inv_sqrt(x: np.ndarray) -> np.ndarray:
+    """Inverse square root of a matrix positive definite by construction; floor 1e-300."""
+    vals, vecs = np.linalg.eigh(hermitian_part(x))
+    return (vecs * (1.0 / np.sqrt(np.clip(vals, 1e-300, None)))) @ vecs.conj().T
 
 
 def singular_values(x: np.ndarray) -> np.ndarray:
@@ -147,32 +180,26 @@ def validate_density_matrix(x: np.ndarray, tol: float = CLAMP_TOL) -> np.ndarray
     Returns ``x`` unchanged on success.
     """
     x = _as_square(x)
-    if hermiticity_defect(x) > tol:
-        raise HermiticityError(
-            f"density matrix deviates from Hermiticity by {hermiticity_defect(x):.3e}"
-        )
-    vals = np.linalg.eigvalsh((x + x.conj().T) / 2)
-    if vals.min() < -tol:
-        raise PositivityError(f"negative eigenvalue {vals.min():.3e}")
+    check_spectrum(hermitian_eigvals(x, tol, "density matrix"), tol, what="density matrix")
     tr = complex(np.trace(x))
     if abs(tr - 1.0) > tol:
         raise TraceError(f"trace {tr} deviates from 1")
     return x
 
 
-def von_neumann_entropy(rho: np.ndarray, tol: float = CLAMP_TOL) -> float:
-    """Von Neumann entropy -tr(rho ln rho), in nats.
+def spectrum_entropy(vals: np.ndarray, tol: float = CLAMP_TOL) -> float:
+    """Von Neumann entropy, in nats, of a density matrix given by its eigenvalues.
 
     Eigenvalues in ``[-tol, 0]`` are clamped to zero; an eigenvalue below
     ``-tol`` raises :class:`PositivityError`.
     """
-    rho = _as_square(rho)
-    if hermiticity_defect(rho) > max(tol, HERMIT_TOL):
-        raise HermiticityError("entropy argument is not Hermitian")
-    vals = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
-    if vals.min() < -tol:
-        raise PositivityError(f"negative eigenvalue {vals.min():.3e}")
+    check_spectrum(vals, tol, what="density matrix")
     return float(np.sum(eta(np.clip(vals, 0.0, 1.0))))
+
+
+def von_neumann_entropy(rho: np.ndarray, tol: float = CLAMP_TOL) -> float:
+    """Von Neumann entropy -tr(rho ln rho), in nats; Hermiticity tolerance max(tol, 1e-10)."""
+    return spectrum_entropy(hermitian_eigvals(rho, max(tol, HERMIT_TOL), "entropy argument"), tol)
 
 
 def shannon_entropy(p: np.ndarray, tol: float = 1e-10) -> float:

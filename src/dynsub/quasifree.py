@@ -26,36 +26,35 @@ from .errors import (
     BlockFormError,
     ConstraintError,
     DimensionError,
-    HermiticityError,
     ModeLimitError,
     NormError,
     ProjectorError,
     SingularSymbolError,
 )
-from .matcore import _as_square, eta, hermiticity_defect, singular_values
+from .matcore import (
+    _as_square,
+    check_spectrum,
+    eig_hermitian,
+    eta,
+    hermitian_eigvals,
+    hermitian_part,
+    hermiticity_defect,
+    psd_sqrt,
+    singular_values,
+)
 
 SYMBOL_TOL = 1e-9
 
 
-def _herm(x: np.ndarray) -> np.ndarray:
-    return (x + x.conj().T) / 2
-
-
-def _psd_sqrt(x: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(_herm(x))
-    return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
+def _symbol_spectrum(q: np.ndarray, tol: float) -> np.ndarray:
+    vals = hermitian_eigvals(q, tol, "symbol")
+    return check_spectrum(vals, tol, upper=1.0, error=ConstraintError, what="symbol")
 
 
 def validate_symbol(q: np.ndarray, tol: float = SYMBOL_TOL) -> np.ndarray:
     """Check 0 <= Q <= 1 and Hermiticity within ``tol``."""
     q = _as_square(np.asarray(q, dtype=complex))
-    if hermiticity_defect(q) > tol:
-        raise HermiticityError("symbol is not Hermitian within tolerance")
-    vals = np.linalg.eigvalsh(_herm(q))
-    if vals.min() < -tol:
-        raise ConstraintError(f"symbol eigenvalue {vals.min():.3e} below 0")
-    if vals.max() > 1 + tol:
-        raise ConstraintError(f"symbol eigenvalue {vals.max():.3e} above 1")
+    _symbol_spectrum(q, tol)
     return q
 
 
@@ -77,17 +76,11 @@ def qf_validate(r: np.ndarray, z: np.ndarray, tol: float = SYMBOL_TOL) -> QFMap:
     z = _as_square(np.asarray(z, dtype=complex))
     if r.shape != z.shape:
         raise DimensionError(f"R and Z shapes differ: {r.shape} vs {z.shape}")
-    if hermiticity_defect(z) > tol:
-        raise HermiticityError("Z is not Hermitian within tolerance")
-    z_min = np.linalg.eigvalsh(_herm(z)).min()
-    if z_min < -tol:
-        raise ConstraintError(f"constraint Z >= 0 violated: min eigenvalue {z_min:.3e}")
-    gap = _herm(np.eye(r.shape[0]) - r.conj().T @ r - z)
-    gap_min = np.linalg.eigvalsh(gap).min()
-    if gap_min < -tol:
-        raise ConstraintError(
-            f"constraint Z <= 1 - R^dag R violated: min eigenvalue {gap_min:.3e}"
-        )
+    check_spectrum(hermitian_eigvals(z, tol, "Z"), tol, error=ConstraintError, what="Z")
+    # the gap is symmetrized first, so only Z's own Hermiticity is checked
+    gap = hermitian_part(np.eye(r.shape[0]) - r.conj().T @ r - z)
+    what = "1 - R^dag R - Z"
+    check_spectrum(hermitian_eigvals(gap, tol, what), tol, error=ConstraintError, what=what)
     return QFMap(r, z)
 
 
@@ -111,16 +104,15 @@ def qf_compose(later: QFMap, earlier: QFMap) -> QFMap:
     if later.modes != earlier.modes:
         raise DimensionError(f"modes differ: {later.modes} vs {earlier.modes}")
     r = earlier.r @ later.r
-    z = _herm(later.r.conj().T @ earlier.z @ later.r + later.z)
+    z = hermitian_part(later.r.conj().T @ earlier.z @ later.r + later.z)
     return QFMap(r, z)
 
 
 def qf_jam_symbol(m: QFMap) -> np.ndarray:
     """The 2N-mode symbol encoding the map, block form [[1, R], [R^dag, R^dag R + 2Z]]/2."""
     n = m.modes
-    return 0.5 * np.block(
-        [[np.eye(n, dtype=complex), m.r], [m.r.conj().T, _herm(m.r.conj().T @ m.r + 2 * m.z)]]
-    )
+    lower = hermitian_part(m.r.conj().T @ m.r + 2 * m.z)
+    return 0.5 * np.block([[np.eye(n, dtype=complex), m.r], [m.r.conj().T, lower]])
 
 
 def _split_blocks(sym: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -146,21 +138,13 @@ def qf_odot_symbol(later_sym: np.ndarray, earlier_sym: np.ndarray, tol: float = 
         raise DimensionError(f"operand mode counts differ: {l1.shape[0]} vs {e1.shape[0]}")
     n = l1.shape[0]
     t1 = e1 @ l1
-    t2 = _herm(l1.conj().T @ (e2 - np.eye(n)) @ l1 + l2)
+    t2 = hermitian_part(l1.conj().T @ (e2 - np.eye(n)) @ l1 + l2)
     return 0.5 * np.block([[np.eye(n, dtype=complex), t1], [t1.conj().T, t2]])
 
 
 def qf_state_entropy(q: np.ndarray, tol: float = SYMBOL_TOL) -> float:
     """Entropy of a quasi-free state: sum over eigenvalues of eta(q) + eta(1-q)."""
-    q = _as_square(np.asarray(q, dtype=complex))
-    if hermiticity_defect(q) > tol:
-        raise HermiticityError("symbol is not Hermitian within tolerance")
-    vals = np.linalg.eigvalsh(_herm(q))
-    if vals.min() < -tol:
-        raise ConstraintError(f"symbol eigenvalue {vals.min():.3e} below 0")
-    if vals.max() > 1 + tol:
-        raise ConstraintError(f"symbol eigenvalue {vals.max():.3e} above 1")
-    vals = np.clip(vals, 0.0, 1.0)
+    vals = np.clip(_symbol_spectrum(np.asarray(q, dtype=complex), tol), 0.0, 1.0)
     return float(np.sum(eta(vals)) + np.sum(eta(1.0 - vals)))
 
 
@@ -179,8 +163,8 @@ def qf_bistochastic_entropy(r: np.ndarray) -> float:
 def qf_extreme_entropy(r: np.ndarray, p: np.ndarray) -> float:
     """Closed form for extreme maps via the N-dim symbol (1 + |R|^2 - 2|R| P |R|)/2."""
     r = _as_square(np.asarray(r, dtype=complex))
-    abs_r = _psd_sqrt(r.conj().T @ r)
-    sym = _herm(0.5 * (np.eye(r.shape[0]) + abs_r @ abs_r - 2 * abs_r @ p @ abs_r))
+    abs_r = psd_sqrt(r.conj().T @ r)
+    sym = hermitian_part(0.5 * (np.eye(r.shape[0]) + abs_r @ abs_r - 2 * abs_r @ p @ abs_r))
     return qf_state_entropy(sym, tol=1e-8)
 
 
@@ -189,7 +173,7 @@ def qf_bistochastic(r: np.ndarray, tol: float = SYMBOL_TOL) -> QFMap:
     r = _as_square(np.asarray(r, dtype=complex))
     if singular_values(r).max() > 1 + tol:
         raise NormError("R has operator norm above 1")
-    z = _herm(np.eye(r.shape[0]) - r.conj().T @ r) / 2
+    z = hermitian_part(np.eye(r.shape[0]) - r.conj().T @ r) / 2
     return QFMap(r, z)
 
 
@@ -203,8 +187,8 @@ def qf_extreme(r: np.ndarray, p: np.ndarray, tol: float = SYMBOL_TOL) -> QFMap:
         raise NormError("R has operator norm above 1")
     if hermiticity_defect(p) > tol or np.abs(p @ p - p).max() > 1e-8:
         raise ProjectorError("P is not an orthogonal projector within tolerance")
-    w = _psd_sqrt(np.eye(r.shape[0]) - r.conj().T @ r)
-    return QFMap(r, _herm(w @ p @ w))
+    w = psd_sqrt(np.eye(r.shape[0]) - r.conj().T @ r)
+    return QFMap(r, hermitian_part(w @ p @ w))
 
 
 # -- Fock-space realization --------------------------------------------------
@@ -239,11 +223,12 @@ def fock_density(q: np.ndarray, tol: float = SYMBOL_TOL) -> np.ndarray:
     Slater state.  Symbols with unit eigenvalues that are not projectors
     are refused.
     """
-    q = validate_symbol(q, tol)
+    q = np.asarray(q, dtype=complex)
+    vals, vecs = eig_hermitian(q, hermit_tol=tol)
+    check_spectrum(vals, tol, upper=1.0, error=ConstraintError, what="symbol")
     n = q.shape[0]
     if n > MODE_LIMIT:
         raise ModeLimitError(f"explicit Fock construction limited to {MODE_LIMIT} modes")
-    vals, vecs = np.linalg.eigh(_herm(q))
     vals = np.clip(vals, 0.0, 1.0)
     dim = 2**n
     out = np.zeros((dim, dim), dtype=complex)

@@ -13,8 +13,8 @@ import numpy as np
 
 from .channels import Channel
 from .errors import ConvergenceError
-from .matcore import kron, partial_trace
-from .quasifree import QFMap, _herm, _psd_sqrt, qf_bistochastic, qf_extreme
+from .matcore import hermitian_part, kron, partial_trace, psd_inv_sqrt, psd_sqrt
+from .quasifree import QFMap, qf_bistochastic, qf_extreme
 
 
 @dataclass(frozen=True)
@@ -57,21 +57,14 @@ def random_density(n: int, rng) -> np.ndarray:
     return w / np.trace(w).real
 
 
-def _inv_sqrt_psd(m: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(_herm(m))
-    return (vecs * (1.0 / np.sqrt(np.clip(vals, 1e-300, None)))) @ vecs.conj().T
-
-
 def random_channel(n: int, rng) -> Channel:
     """Random CP-TP channel: a Wishart Choi matrix renormalized on one marginal."""
     g = _gen(rng)
     gm = ginibre(n * n, g)
     w = gm @ gm.conj().T
-    s = _inv_sqrt_psd(partial_trace(w, "A"))
+    s = psd_inv_sqrt(partial_trace(w, "A"))
     left = kron(np.eye(n), s)
-    ch = Channel(left @ w @ left.conj().T)
-    ch._is_cp = True
-    return ch
+    return Channel(left @ w @ left.conj().T)
 
 
 def random_bistochastic_channel(
@@ -96,9 +89,7 @@ def random_bistochastic_channel(
         for p in weights:
             v = haar_unitary(n, g).reshape(-1)
             d += p * np.outer(v, v.conj())
-        ch = Channel(d)
-        ch._is_cp = ch._is_tp = ch._is_unital = True
-        return ch
+        return Channel(d)
     if method != "sinkhorn":
         raise ValueError(f"unknown method {method!r}")
     gm = ginibre(n * n, g)
@@ -109,18 +100,16 @@ def random_bistochastic_channel(
     # the identity up to rounding, leaving one marginal to monitor.
     ma = np.einsum("iaib->ab", d4)
     for _ in range(max_iter):
-        s = _inv_sqrt_psd(ma)
+        s = psd_inv_sqrt(ma)
         d4 = np.einsum("nb,mbuc->mnuc", s, d4)
         d4 = np.einsum("mnuc,cv->mnuv", d4, s)
         mb = np.einsum("aibi->ab", d4)
-        s = _inv_sqrt_psd(mb)
+        s = psd_inv_sqrt(mb)
         d4 = np.einsum("ma,ancv->mncv", s, d4)
         d4 = np.einsum("mncv,cu->mnuv", d4, s)
         ma = np.einsum("iaib->ab", d4)
         if np.abs(ma - eye).max() <= tol:
-            ch = Channel(d4.reshape(n * n, n * n))
-            ch._is_cp = True
-            return ch
+            return Channel(d4.reshape(n * n, n * n))
     raise ConvergenceError(f"operator Sinkhorn did not reach {tol} in {max_iter} iterations")
 
 
@@ -149,7 +138,7 @@ def random_symbol(n: int, rng) -> np.ndarray:
     """Random quasi-free state symbol with eigenvalues uniform in (0, 1)."""
     g = _gen(rng)
     v = haar_unitary(n, g)
-    return _herm((v * g.uniform(0.0, 1.0, n)) @ v.conj().T)
+    return hermitian_part((v * g.uniform(0.0, 1.0, n)) @ v.conj().T)
 
 
 def random_contraction(n: int, rng) -> np.ndarray:
@@ -186,5 +175,5 @@ def random_qf_map(n: int, rng, bistochastic: bool = False) -> QFMap:
     if g.uniform() < 0.5:
         return qf_extreme(r, random_projector(n, g))
     c = random_symbol(n, g)
-    w = _psd_sqrt(np.eye(n) - r.conj().T @ r)
-    return QFMap(r, _herm(w @ c @ w))
+    w = psd_sqrt(np.eye(n) - r.conj().T @ r)
+    return QFMap(r, hermitian_part(w @ c @ w))

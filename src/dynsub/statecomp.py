@@ -31,9 +31,9 @@ class StateClass(enum.Enum):
 
 def odot_raw(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Reshuffled product of two matrices of dimension N**2."""
-    if np.asarray(x).shape != np.asarray(y).shape:
+    x, y = np.asarray(x), np.asarray(y)
+    if x.shape != y.shape:
         raise DimensionError(f"operand shapes differ: {x.shape} vs {y.shape}")
-    _square_side(x)
     return reshuffle(reshuffle(x) @ reshuffle(y))
 
 

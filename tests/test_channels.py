@@ -6,7 +6,6 @@ from dynsub.channels import (
     apply_kraus,
     coarse_graining_channel,
     coherent_information,
-    compose,
     contraction_channel,
     depolarizing_channel,
     diag_channel_from_stochastic,
@@ -23,7 +22,7 @@ from dynsub.channels import (
     unitary_channel,
 )
 from dynsub.classical import entropy_uniform, flat_matrix
-from dynsub.errors import DimensionError, PositivityError, UnitarityError
+from dynsub.errors import DimensionError, HermiticityError, PositivityError, UnitarityError
 from dynsub.matcore import (
     kron,
     max_entangled_projector,
@@ -141,14 +140,14 @@ def test_apply_agrees_with_superop_action():
 
 def test_compose_identity_is_exact():
     ch = random_channel(3, 9)
-    assert np.abs(compose(ch, identity_channel(3)).choi - ch.choi).max() < 1e-12
+    assert np.abs(ch.compose(identity_channel(3)).choi - ch.choi).max() < 1e-12
 
 
 def test_compose_apply_oracle():
     c1 = random_channel(3, 10)
     c2 = random_channel(3, 11)
     rho = random_density(3, 12)
-    lhs = compose(c2, c1).apply(rho)
+    lhs = c2.compose(c1).apply(rho)
     assert np.abs(lhs - c2.apply(c1.apply(rho))).max() < 1e-10
 
 
@@ -157,20 +156,20 @@ def test_compose_contraction_absorbs():
     target = contraction_channel(rho0)
     other = random_channel(2, 14)
     rho = random_density(2, 15)
-    assert np.abs(compose(target, other).apply(rho) - rho0).max() < 1e-10
+    assert np.abs(target.compose(other).apply(rho) - rho0).max() < 1e-10
 
 
 def test_compose_associative():
     chs = [random_channel(2, 16 + k) for k in range(3)]
-    lhs = compose(compose(chs[0], chs[1]), chs[2]).choi
-    rhs = compose(chs[0], compose(chs[1], chs[2])).choi
+    lhs = chs[0].compose(chs[1]).compose(chs[2]).choi
+    rhs = chs[0].compose(chs[1].compose(chs[2])).choi
     assert np.abs(lhs - rhs).max() < 1e-10
 
 
 def test_compose_preserves_tp_and_unitality():
     b1 = random_bistochastic_channel(2, 17)
     b2 = random_bistochastic_channel(2, 18)
-    out = compose(b2, b1)
+    out = b2.compose(b1)
     assert out.is_tp and out.is_unital
 
 
@@ -194,8 +193,8 @@ def test_adjoint_involution_and_unitary():
 def test_adjoint_intertwines_composition():
     c1 = random_channel(2, 23)
     c2 = random_channel(2, 24)
-    lhs = compose(c2, c1).adjoint().choi
-    rhs = compose(c2.adjoint(), c1.adjoint()).choi
+    lhs = c2.compose(c1).adjoint().choi
+    rhs = c2.adjoint().compose(c1.adjoint()).choi
     assert np.abs(lhs - rhs).max() < 1e-10
 
 
@@ -205,12 +204,23 @@ def test_adjoint_intertwines_composition():
 def test_flags_identity():
     ch = Channel(identity_channel(2).choi)
     assert ch.revalidate() == (True, True, True)
+    named = (
+        identity_channel(3),
+        depolarizing_channel(3),
+        coarse_graining_channel(3),
+        unitary_channel(haar_unitary(3, 51)),
+        random_bistochastic_channel(3, 52, method="unitary_mixture"),
+    )
+    for ch in named:
+        assert (ch.is_cp, ch.is_tp, ch.is_unital) == (True, True, True)
 
 
 def test_flags_contraction_not_unital():
     rho0 = random_density(2, 25)
     ch = Channel(contraction_channel(rho0).choi)
     assert ch.revalidate() == (True, True, False)
+    for ch in (contraction_channel(rho0), diag_channel_from_stochastic(random_stochastic(3, 53))):
+        assert (ch.is_cp, ch.is_tp, ch.is_unital) == (True, True, False)
 
 
 def test_flags_transpose_map_not_cp():
@@ -223,6 +233,15 @@ def test_flags_transpose_map_not_cp():
     assert not ch.is_cp
     assert np.linalg.eigvalsh(swap).min() < -0.99
     assert ch.is_tp and ch.is_unital
+    # a non-Hermitian Choi matrix is not CP; only its spectrum is refused
+    skew = Channel(np.eye(4, dtype=complex) + 0.1 * np.triu(np.ones((4, 4)), 1))
+    assert not skew.is_cp
+    with pytest.raises(HermiticityError):
+        skew.jam_spectrum
+    # CP means N * min eig(D/N) >= -tol
+    tol = ch.tol
+    assert Channel(np.diag([1.0, 1.0, 1.0, -tol / 2]).astype(complex)).is_cp
+    assert not Channel(np.diag([1.0, 1.0, 1.0, -2 * tol]).astype(complex)).is_cp
 
 
 # -- Jamiolkowski state and entropies --------------------------------------------
@@ -249,6 +268,21 @@ def test_map_entropy_closed_values():
         assert map_entropy(unitary_channel(haar_unitary(n, 27 + n))) < 1e-12
         assert abs(map_entropy(depolarizing_channel(n)) - 2 * np.log(n)) < 1e-10
         assert abs(map_entropy(coarse_graining_channel(n)) - np.log(n)) < 1e-10
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_map_entropy_takes_one_spectrum(monkeypatch, n):
+    composed = random_channel(n, 60 + n).compose(random_bistochastic_channel(n, 70 + n))
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda x: calls.append(1) or eigvalsh(x))
+    s = map_entropy(composed)
+    assert len(calls) == 1
+    assert map_entropy(composed) == s and len(calls) == 1
+    monkeypatch.undo()
+    # bitwise the value of the uncached route
+    fresh = Channel(composed.choi)
+    assert s == von_neumann_entropy(jam_state(fresh))
 
 
 def test_sigma_hat_tracial_matches_jam_spectrum():
@@ -362,7 +396,7 @@ def test_data_processing_inequality():
         c2 = random_channel(2, 500 + seed)
         rho = random_density(2, 600 + seed)
         i1 = coherent_information(c1, rho)
-        i21 = coherent_information(compose(c2, c1), rho)
+        i21 = coherent_information(c2.compose(c1), rho)
         assert i21 <= i1 + 1e-8
 
 
@@ -399,7 +433,7 @@ def test_diag_channel_from_flat_is_depolarizing_choi():
 def test_diag_channel_composition_covariance():
     t1 = random_stochastic(3, 48)
     t2 = random_stochastic(3, 49)
-    composed = compose(diag_channel_from_stochastic(t2), diag_channel_from_stochastic(t1))
+    composed = diag_channel_from_stochastic(t2).compose(diag_channel_from_stochastic(t1))
     assert np.abs(stochastic_from_channel(composed) - t2 @ t1).max() < 1e-12
 
 

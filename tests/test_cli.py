@@ -159,6 +159,15 @@ def test_exit_code_2_on_invalid_object(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("dim, samples", [("2", "0"), ("2", "-1"), ("0", "2"), ("-2", "2")])
+def test_exit_code_2_on_bad_verify_grid(capsys, dim, samples):
+    code = main(["verify", "--suite", "lindblad", "--dim", dim, "--samples", samples])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_exit_code_2_on_missing_argument(capsys):
     code, _ = run_cli(capsys, "channel", "entropy")
     assert code == 2

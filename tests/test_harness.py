@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from dynsub.errors import DomainError
 from dynsub.harness import SUITES, evaluate_sample, run_all, run_suite
 
 
@@ -58,6 +59,12 @@ def test_run_all_with_overrides():
     reports = run_all(seed=9, samples=5, suites=["lindblad", "power_subadd"], dims=[2])
     assert [r.suite for r in reports] == ["lindblad", "power_subadd"]
     assert all(r.passed for r in reports)
+
+
+def test_run_all_rejects_zero_samples():
+    # zero is not "use the default count"
+    with pytest.raises(DomainError):
+        run_all(seed=0, samples=0, suites=["lindblad"], dims=[2])
 
 
 def test_threaded_run_matches_serial(monkeypatch):

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from dynsub.errors import (
+    ConstraintError,
     DimensionError,
     DomainError,
     HermiticityError,
     PositivityError,
 )
 from dynsub.matcore import (
+    CLAMP_TOL,
     eig_hermitian,
     eta,
     kron,
@@ -19,6 +21,7 @@ from dynsub.matcore import (
     validate_density_matrix,
     von_neumann_entropy,
 )
+from dynsub.quasifree import SYMBOL_TOL, fock_density, qf_state_entropy, qf_validate, validate_symbol
 from dynsub.randgen import haar_unitary, random_density
 
 
@@ -213,3 +216,27 @@ def test_validate_density_matrix():
 
     with pytest.raises(TraceError):
         validate_density_matrix(np.eye(2))
+
+
+# -- the validators built on the spectral kernel -------------------------------
+
+# validator, the error for an eigenvalue below -tol, and tol
+VALIDATORS = {
+    "validate_density_matrix": (validate_density_matrix, PositivityError, CLAMP_TOL),
+    "von_neumann_entropy": (von_neumann_entropy, PositivityError, CLAMP_TOL),
+    "validate_symbol": (validate_symbol, ConstraintError, SYMBOL_TOL),
+    "qf_state_entropy": (qf_state_entropy, ConstraintError, SYMBOL_TOL),
+    "fock_density": (fock_density, ConstraintError, SYMBOL_TOL),
+    "qf_validate": (lambda z: qf_validate(np.zeros((2, 2)), z), ConstraintError, SYMBOL_TOL),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALIDATORS))
+def test_validator_tolerance(name):
+    validate, error, tol = VALIDATORS[name]
+    # unit trace, eigenvalues v and 1 - v
+    validate(np.diag([1 + tol / 2, -tol / 2]).astype(complex))
+    with pytest.raises(error):
+        validate(np.diag([1 + 2 * tol, -2 * tol]).astype(complex))
+    with pytest.raises(HermiticityError):
+        validate(np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex))

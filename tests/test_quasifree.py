@@ -61,6 +61,10 @@ def test_validate_rejects_violated_constraint():
         qf_validate(np.eye(2), np.eye(2) / 2)
     with pytest.raises(ConstraintError):
         qf_validate(np.zeros((2, 2)), -0.1 * np.eye(2))
+    # 1 - R^dag R - Z with an eigenvalue at -tol/2 passes, at -2 tol fails
+    qf_validate(np.diag([np.sqrt(1 + 5e-10), 0.0]), np.zeros((2, 2)))
+    with pytest.raises(ConstraintError):
+        qf_validate(np.diag([np.sqrt(1 + 2e-9), 0.0]), np.zeros((2, 2)))
 
 
 def test_validate_symbol_bounds():

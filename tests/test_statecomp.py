@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dynsub.channels import jam_state
-from dynsub.errors import ClassError
+from dynsub.errors import ClassError, DimensionError
 from dynsub.matcore import max_entangled_projector, partial_trace, von_neumann_entropy
 from dynsub.randgen import ginibre, random_bistochastic_channel, random_channel, random_density
 from dynsub.statecomp import (
@@ -64,6 +64,13 @@ def test_noncommutativity_witness():
     x = random_density(4, 30)
     y = random_density(4, 31)
     assert np.abs(odot_raw(x, y) - odot_raw(y, x)).max() > 1e-6
+
+
+def test_odot_raw_takes_list_operands():
+    x, y = random_density(4, 32), random_density(4, 33)
+    assert np.array_equal(odot_raw(x.tolist(), y.tolist()), odot_raw(x, y))
+    with pytest.raises(DimensionError):
+        odot_raw(np.eye(4).tolist(), np.eye(9).tolist())
 
 
 def test_membership_classes():
