@@ -9,14 +9,25 @@ its slack is at least minus its tolerance.
 
 Because any sample is a pure function of (seed, index), the worst case of
 a suite can be replayed exactly from the report.
+
+Samples are evaluated in lockstep batches.  A suite that draws
+bistochastic channels is written as a generator: it yields the Wishart
+Choi matrix of each draw (``ch = yield wishart_choi(dim, g)``) and is sent
+back the channel.  :func:`evaluate_samples` steps a batch of sample
+generators together (:func:`run_suite` passes up to ``BATCH`` indices at a
+time); each round stacks their pending Wishart matrices and runs one
+:func:`operator_sinkhorn` call on the stack.  Each sample keeps its own
+random stream and a Sinkhorn draw's result does not depend on its batch,
+so replay, :func:`evaluate_sample`, runs the same code on a batch of one
+and reproduces every bit of the batched run.  Evaluation is serial and
+ignores the ``DYNSUB_THREADS`` environment variable.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Generator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +35,7 @@ import numpy as np
 from . import classical as cl
 from . import quasifree as qf
 from .channels import (
+    Channel,
     coherent_information,
     diag_channel_from_stochastic,
     entropy_exchange,
@@ -38,18 +50,22 @@ from .errors import DomainError
 from .matcore import max_entangled_projector, partial_trace, von_neumann_entropy
 from .randgen import (
     RngStream,
-    random_bistochastic_channel,
+    operator_sinkhorn,
     random_bistochastic_matrix,
     random_channel,
     random_density,
     random_qf_map,
     random_stochastic,
     random_symbol,
+    wishart_choi,
 )
 from .statecomp import not_square_witness, odot_raw, odot_state
 
 INEQ_TOL = 1e-8
-ENV_THREADS = "DYNSUB_THREADS"
+# Samples stepped together by run_suite.  Live sample generators hold their
+# channels, so a batch costs memory in proportion to its size; past a few
+# hundred draws a stacked Sinkhorn round gets no cheaper per draw.
+BATCH = 256
 
 
 @dataclass(frozen=True)
@@ -113,16 +129,20 @@ def _eq(name: str, deviation: float, tol: float) -> Check:
 
 # -- per-sample check evaluation ---------------------------------------------
 
+# A sample that draws bistochastic channels: it yields each draw's Wishart
+# Choi matrix, is sent the Sinkhorn-scaled channel and returns its checks.
+SinkhornSample = Generator[np.ndarray, Channel, list[Check]]
 
-def _sample_dynsub_bistochastic(dim: int, g: np.random.Generator, tol: float) -> list[Check]:
-    phi1 = random_bistochastic_channel(dim, g)
+
+def _sample_dynsub_bistochastic(dim: int, g: np.random.Generator, tol: float) -> SinkhornSample:
+    phi1 = yield wishart_choi(dim, g)
     phi2 = random_channel(dim, g)
     s1, s2 = map_entropy(phi1), map_entropy(phi2)
     s21 = map_entropy(phi2.compose(phi1))
     checks = [_ineq("subadditivity.upper", s1 + s2 - s21, tol)]
 
-    b1 = random_bistochastic_channel(dim, g)
-    b2 = random_bistochastic_channel(dim, g)
+    b1 = yield wishart_choi(dim, g)
+    b2 = yield wishart_choi(dim, g)
     t1, t2 = map_entropy(b1), map_entropy(b2)
     t12 = map_entropy(b1.compose(b2))
     t21 = map_entropy(b2.compose(b1))
@@ -136,8 +156,10 @@ def _sample_dynsub_bistochastic(dim: int, g: np.random.Generator, tol: float) ->
     return checks
 
 
-def _sample_strong_dynsub(dim: int, g: np.random.Generator, tol: float) -> list[Check]:
-    b1, b2, b3 = (random_bistochastic_channel(dim, g) for _ in range(3))
+def _sample_strong_dynsub(dim: int, g: np.random.Generator, tol: float) -> SinkhornSample:
+    b1 = yield wishart_choi(dim, g)
+    b2 = yield wishart_choi(dim, g)
+    b3 = yield wishart_choi(dim, g)
     s321 = map_entropy(b3.compose(b2).compose(b1))
     s2 = map_entropy(b2)
     s32 = map_entropy(b3.compose(b2))
@@ -154,7 +176,7 @@ def _sample_strong_dynsub(dim: int, g: np.random.Generator, tol: float) -> list[
     return checks
 
 
-def _sample_dynsub_general(dim: int, g: np.random.Generator, tol: float) -> list[Check]:
+def _sample_dynsub_general(dim: int, g: np.random.Generator, tol: float) -> SinkhornSample:
     rho_star = np.eye(dim, dtype=complex) / dim
     phi1 = random_channel(dim, g)
     phi2 = random_channel(dim, g)
@@ -168,8 +190,8 @@ def _sample_dynsub_general(dim: int, g: np.random.Generator, tol: float) -> list
         _ineq("general.upper", s1 + s2 + delta2 - s21, tol),
     ]
 
-    bb1 = random_bistochastic_channel(dim, g)
-    bb2 = random_bistochastic_channel(dim, g)
+    bb1 = yield wishart_choi(dim, g)
+    bb2 = yield wishart_choi(dim, g)
     bout1 = bb1.apply(rho_star)
     d1 = von_neumann_entropy(bb2.apply(bout1)) - von_neumann_entropy(bout1)
     d2 = entropy_exchange(bb2, bout1) - map_entropy(bb2)
@@ -274,7 +296,7 @@ def _sample_classical(dim: int, g: np.random.Generator, tol: float) -> list[Chec
     return checks
 
 
-def _sample_statecomp(dim: int, g: np.random.Generator, tol: float) -> list[Check]:
+def _sample_statecomp(dim: int, g: np.random.Generator, tol: float) -> SinkhornSample:
     d2 = dim * dim
     x = random_density(d2, g)
     y = random_density(d2, g)
@@ -310,9 +332,9 @@ def _sample_statecomp(dim: int, g: np.random.Generator, tol: float) -> list[Chec
     checks.append(_eq("states.d1_closure", np.abs(partial_trace(comp, "A") - flat).max(), 1e-8))
     checks.append(_eq("states.d1_trace", abs(np.trace(comp) - 1.0), 1e-9))
 
-    k1 = jam_state(random_bistochastic_channel(dim, g))
-    k2 = jam_state(random_bistochastic_channel(dim, g))
-    compb = odot_state(k2, k1)
+    k1 = yield wishart_choi(dim, g)
+    k2 = yield wishart_choi(dim, g)
+    compb = odot_state(jam_state(k2), jam_state(k1))
     dev2 = max(
         np.abs(partial_trace(compb, "A") - flat).max(),
         np.abs(partial_trace(compb, "B") - flat).max(),
@@ -368,8 +390,8 @@ def _sample_quasifree(modes: int, g: np.random.Generator, tol: float) -> list[Ch
     return checks
 
 
-def _sample_power_subadd(dim: int, g: np.random.Generator, tol: float) -> list[Check]:
-    ch = random_bistochastic_channel(dim, g)
+def _sample_power_subadd(dim: int, g: np.random.Generator, tol: float) -> SinkhornSample:
+    ch = yield wishart_choi(dim, g)
     s = map_entropy(ch)
     worst = math.inf
     power = ch
@@ -391,19 +413,48 @@ SUITES = {
     "power_subadd": (_sample_power_subadd, (2, 3), 100),
 }
 
+# Suites whose checks cannot hold at small dims: 1x1 operators commute, so
+# ``algebra.noncommutativity_witness`` fails at dim 1.
+MIN_DIM = {"statecomp_algebra": 2}
+
+
+def evaluate_samples(
+    suite: str, dim: int, seed: int, indices, tol: float = INEQ_TOL
+) -> list[list[Check]]:
+    """Evaluate the checks of the samples ``indices`` in lockstep, in their order.
+
+    Each sample draws from its own ``RngStream(seed, index)``.  The
+    generators of a Sinkhorn suite advance in rounds: one round collects
+    the Wishart matrix each live sample yields and sends back the channels
+    of one :func:`operator_sinkhorn` call on their stack.
+    """
+    fn = SUITES[suite][0]
+    results: list = [None] * len(indices)
+    live = []  # (position in indices, sample generator)
+    for pos, index in enumerate(indices):
+        out = fn(dim, RngStream(seed, index).generator(), tol)
+        if isinstance(out, list):
+            results[pos] = out
+        else:
+            live.append((pos, out))
+    sent = [None] * len(live)
+    while live:
+        waiting, drawn = [], []
+        for (pos, sample), channel in zip(live, sent):
+            try:
+                drawn.append(sample.send(channel))
+                waiting.append((pos, sample))
+            except StopIteration as stop:
+                results[pos] = stop.value
+        live = waiting
+        if drawn:
+            sent = [Channel(choi) for choi in operator_sinkhorn(np.stack(drawn))]
+    return results
+
 
 def evaluate_sample(suite: str, dim: int, seed: int, index: int, tol: float = INEQ_TOL) -> list[Check]:
-    """Evaluate all checks of one sample; the replay unit."""
-    fn = SUITES[suite][0]
-    g = RngStream(seed, index).generator()
-    return fn(dim, g, tol)
-
-
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get(ENV_THREADS, "1")))
-    except ValueError:
-        return 1
+    """Evaluate all checks of one sample, as a batch of one; the replay unit."""
+    return evaluate_samples(suite, dim, seed, [index], tol)[0]
 
 
 def run_suite(
@@ -417,16 +468,17 @@ def run_suite(
     """Run one suite at one dimension and aggregate the worst slacks."""
     if suite not in SUITES:
         raise KeyError(f"unknown suite {suite!r}")
-    if dim < 1 or samples < 1:
-        raise DomainError(f"dim and samples must be at least 1, got {dim} and {samples}")
+    min_dim = MIN_DIM.get(suite, 1)
+    if dim < min_dim or samples < 1:
+        raise DomainError(
+            f"{suite} needs dim at least {min_dim} and samples at least 1, got {dim} and {samples}"
+        )
     start = time.perf_counter()
-    worker = lambda index: evaluate_sample(suite, dim, seed, index, tol)
-    threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(worker, range(samples)))
-    else:
-        results = [worker(i) for i in range(samples)]
+    results = [
+        checks
+        for start in range(0, samples, BATCH)
+        for checks in evaluate_samples(suite, dim, seed, range(start, min(start + BATCH, samples)), tol)
+    ]
 
     check_min: dict[str, float] = {}
     worst = (math.inf, 0, "")  # (margin, index, name)

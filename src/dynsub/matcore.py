@@ -96,8 +96,11 @@ def max_entangled_projector(n: int) -> np.ndarray:
 
 
 def hermitian_part(x: np.ndarray) -> np.ndarray:
-    """``(x + x^dag)/2``; exactly Hermitian, so applying it twice changes no bit."""
-    return (x + x.conj().T) / 2
+    """``(x + x^dag)/2`` of a matrix or a stack of them.
+
+    The result is exactly Hermitian, so applying it twice changes no bit.
+    """
+    return (x + x.conj().swapaxes(-1, -2)) / 2
 
 
 def hermiticity_defect(x: np.ndarray) -> float:
@@ -147,9 +150,14 @@ def psd_sqrt(x: np.ndarray) -> np.ndarray:
 
 
 def psd_inv_sqrt(x: np.ndarray) -> np.ndarray:
-    """Inverse square root of a matrix positive definite by construction; floor 1e-300."""
+    """Inverse square root of a matrix positive definite by construction, or of a stack of them.
+
+    Eigenvalues are floored at 1e-300 (``np.maximum`` is what ``np.clip``
+    with no upper bound calls, without its Python-level dispatch).
+    """
     vals, vecs = np.linalg.eigh(hermitian_part(x))
-    return (vecs * (1.0 / np.sqrt(np.clip(vals, 1e-300, None)))) @ vecs.conj().T
+    scale = 1.0 / np.sqrt(np.maximum(vals, 1e-300))
+    return (vecs * scale[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
 def singular_values(x: np.ndarray) -> np.ndarray:

@@ -1,12 +1,14 @@
 """Seeded random generation of test objects.
 
 Randomness is organized in counter-based streams: a stream is identified by
-``(master_seed, stream_index)`` and its output is independent of thread
-scheduling, so a violating sample can always be replayed from its index.
+``(master_seed, stream_index)`` and its output is independent of how
+samples are scheduled or batched, so a violating sample can always be
+replayed from its index.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,14 +59,57 @@ def random_density(n: int, rng) -> np.ndarray:
     return w / np.trace(w).real
 
 
+def wishart_choi(n: int, rng) -> np.ndarray:
+    """Wishart matrix G G^dag of an N**2 x N**2 Ginibre G; the start of a Sinkhorn draw."""
+    gm = ginibre(n * n, rng)
+    return gm @ gm.conj().T
+
+
 def random_channel(n: int, rng) -> Channel:
     """Random CP-TP channel: a Wishart Choi matrix renormalized on one marginal."""
-    g = _gen(rng)
-    gm = ginibre(n * n, g)
-    w = gm @ gm.conj().T
+    w = wishart_choi(n, rng)
     s = psd_inv_sqrt(partial_trace(w, "A"))
     left = kron(np.eye(n), s)
     return Channel(left @ w @ left.conj().T)
+
+
+def operator_sinkhorn(w: np.ndarray, tol: float = 1e-10, max_iter: int = 1000) -> np.ndarray:
+    """Scale a stack of positive definite Choi matrices to bistochastic ones.
+
+    Maps ``(B, N**2, N**2)`` to ``(B, N**2, N**2)``: each matrix alternately
+    has its two marginals renormalized until both are the identity within
+    ``tol``.  A draw leaves the batch at the iteration where it converges,
+    so its result is the same in any batch.  Raises
+    :class:`ConvergenceError` if a draw is still unconverged at ``max_iter``.
+    """
+    w = np.asarray(w)
+    size, d = w.shape[0], w.shape[-1]
+    n = math.isqrt(d)
+    out = np.empty_like(w)
+    live = np.arange(size)
+    d4 = w.reshape(size, n, n, n, n)
+    eye = np.eye(n)
+    # Scaling by (1 (x) S) or (S (x) 1) acts on single tensor legs, so the
+    # congruences are leg-wise contractions; the marginal just normalized is
+    # the identity up to rounding, leaving one marginal to monitor.
+    ma = np.einsum("kiaib->kab", d4)
+    for _ in range(max_iter):
+        s = psd_inv_sqrt(ma)
+        d4 = np.einsum("knb,kmbuc->kmnuc", s, d4)
+        d4 = np.einsum("kmnuc,kcv->kmnuv", d4, s)
+        mb = np.einsum("kaibi->kab", d4)
+        s = psd_inv_sqrt(mb)
+        d4 = np.einsum("kma,kancv->kmncv", s, d4)
+        d4 = np.einsum("kmncv,kcu->kmnuv", d4, s)
+        ma = np.einsum("kiaib->kab", d4)
+        err = np.abs(ma - eye).max(axis=(1, 2))
+        if err.min() <= tol:
+            done = err <= tol
+            out[live[done]] = d4[done].reshape(-1, d, d)
+            if done.all():
+                return out
+            live, d4, ma = live[~done], d4[~done], ma[~done]
+    raise ConvergenceError(f"operator Sinkhorn did not reach {tol} in {max_iter} iterations")
 
 
 def random_bistochastic_channel(
@@ -76,10 +121,10 @@ def random_bistochastic_channel(
 ) -> Channel:
     """Random CP-TP-unital channel.
 
-    ``sinkhorn`` alternately renormalizes the two marginals of a Wishart
-    Choi matrix until both are the identity within ``tol``;
-    ``unitary_mixture`` mixes N**2 Haar unitaries with Dirichlet weights
-    (structurally bistochastic, but covers less of the bistochastic set).
+    ``sinkhorn`` runs :func:`operator_sinkhorn` on a :func:`wishart_choi`
+    draw; ``unitary_mixture`` mixes N**2 Haar unitaries with Dirichlet
+    weights (structurally bistochastic, but covers less of the bistochastic
+    set).
     """
     g = _gen(rng)
     if method == "unitary_mixture":
@@ -92,25 +137,7 @@ def random_bistochastic_channel(
         return Channel(d)
     if method != "sinkhorn":
         raise ValueError(f"unknown method {method!r}")
-    gm = ginibre(n * n, g)
-    d4 = (gm @ gm.conj().T).reshape(n, n, n, n)
-    eye = np.eye(n)
-    # Scaling by (1 (x) S) or (S (x) 1) acts on single tensor legs, so the
-    # congruences are leg-wise contractions; the marginal just normalized is
-    # the identity up to rounding, leaving one marginal to monitor.
-    ma = np.einsum("iaib->ab", d4)
-    for _ in range(max_iter):
-        s = psd_inv_sqrt(ma)
-        d4 = np.einsum("nb,mbuc->mnuc", s, d4)
-        d4 = np.einsum("mnuc,cv->mnuv", d4, s)
-        mb = np.einsum("aibi->ab", d4)
-        s = psd_inv_sqrt(mb)
-        d4 = np.einsum("ma,ancv->mncv", s, d4)
-        d4 = np.einsum("mncv,cu->mnuv", d4, s)
-        ma = np.einsum("iaib->ab", d4)
-        if np.abs(ma - eye).max() <= tol:
-            return Channel(d4.reshape(n * n, n * n))
-    raise ConvergenceError(f"operator Sinkhorn did not reach {tol} in {max_iter} iterations")
+    return Channel(operator_sinkhorn(wishart_choi(n, g)[None], tol, max_iter)[0])
 
 
 def random_stochastic(n: int, rng) -> np.ndarray:

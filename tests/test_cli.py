@@ -5,6 +5,7 @@ import pytest
 
 from dynsub.channels import depolarizing_channel, identity_channel
 from dynsub.cli import main
+from dynsub.harness import SUITES
 from dynsub.jsonio import matrix_to_obj, save_matrix
 
 
@@ -166,6 +167,21 @@ def test_exit_code_2_on_bad_verify_grid(capsys, dim, samples):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_statecomp_algebra_at_dim_1_exits_2(capsys):
+    code = main(["verify", "--suite", "statecomp_algebra", "--dim", "1", "--samples", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("suite", sorted(set(SUITES) - {"statecomp_algebra"}))
+def test_other_suites_run_at_dim_1(capsys, suite):
+    code = main(["verify", "--suite", suite, "--dim", "1", "--samples", "2"])
+    capsys.readouterr()
+    assert code == 0
 
 
 def test_exit_code_2_on_missing_argument(capsys):

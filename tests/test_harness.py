@@ -2,8 +2,17 @@ import json
 
 import pytest
 
+from dynsub import harness
 from dynsub.errors import DomainError
-from dynsub.harness import SUITES, evaluate_sample, run_all, run_suite
+from dynsub.harness import SUITES, evaluate_sample, evaluate_samples, run_all, run_suite
+
+SINKHORN_SUITES = [
+    "dynsub_bistochastic",
+    "strong_dynsub",
+    "dynsub_general",
+    "statecomp_algebra",
+    "power_subadd",
+]
 
 
 @pytest.mark.parametrize("suite", sorted(SUITES))
@@ -32,6 +41,25 @@ def test_worst_case_replay_matches():
     checks = evaluate_sample("strong_dynsub", 2, 7, report.worst_index)
     match = [c for c in checks if c.name == report.worst_check]
     assert match and match[0].slack == report.worst_violation
+
+
+@pytest.mark.parametrize("suite", SINKHORN_SUITES)
+def test_batch_slacks_equal_replay(suite, monkeypatch):
+    batch = evaluate_samples(suite, 2, 17, range(8))
+    singles = [evaluate_sample(suite, 2, 17, i) for i in range(8)]
+    assert batch == singles  # every slack bitwise equal, sample by sample
+    expected = {}
+    for checks in singles:
+        for c in checks:
+            expected[c.name] = min(c.slack, expected.get(c.name, c.slack))
+    monkeypatch.setattr(harness, "BATCH", 3)  # run_suite splits the 8 samples into 3 batches
+    assert run_suite(suite, 2, samples=8, seed=17).checks == expected
+
+
+def test_statecomp_algebra_refuses_dim_1():
+    # 1x1 operators commute, so the noncommutativity witness cannot hold
+    with pytest.raises(DomainError):
+        run_suite("statecomp_algebra", 1, samples=2, seed=0)
 
 
 def test_report_dict_shape():

@@ -1,14 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
 from dynsub.channels import map_entropy, unitary_channel
 from dynsub.classical import is_bistochastic, validate_stochastic
-from dynsub.matcore import partial_trace, singular_values, validate_density_matrix
+from dynsub.errors import ConvergenceError
+from dynsub.matcore import partial_trace, psd_inv_sqrt, singular_values, validate_density_matrix
 from dynsub.quasifree import qf_apply, qf_validate
 from dynsub.randgen import (
     RngStream,
     ginibre,
     haar_unitary,
+    operator_sinkhorn,
     random_bistochastic_channel,
     random_bistochastic_matrix,
     random_channel,
@@ -18,6 +22,7 @@ from dynsub.randgen import (
     random_qf_map,
     random_stochastic,
     random_symbol,
+    wishart_choi,
 )
 
 
@@ -64,6 +69,49 @@ def test_random_bistochastic_channel(method):
     assert ch.is_cp and ch.is_tp and ch.is_unital
     for side in "AB":
         assert np.abs(partial_trace(ch.choi, side) - np.eye(3)).max() < 1e-9
+
+
+def _sinkhorn_loop(w, tol=1e-10):
+    """Reference for operator_sinkhorn: one draw, 2-D contractions; returns (choi, iterations)."""
+    n = math.isqrt(w.shape[0])
+    d4 = w.reshape(n, n, n, n)
+    ma = np.einsum("iaib->ab", d4)
+    for iteration in range(1, 1001):
+        s = psd_inv_sqrt(ma)
+        d4 = np.einsum("nb,mbuc->mnuc", s, d4)
+        d4 = np.einsum("mnuc,cv->mnuv", d4, s)
+        s = psd_inv_sqrt(np.einsum("aibi->ab", d4))
+        d4 = np.einsum("ma,ancv->mncv", s, d4)
+        d4 = np.einsum("mncv,cu->mnuv", d4, s)
+        ma = np.einsum("iaib->ab", d4)
+        if np.abs(ma - np.eye(n)).max() <= tol:
+            return d4.reshape(n * n, n * n), iteration
+    raise AssertionError("reference loop did not converge")
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_operator_sinkhorn_batch_of_one_is_bitwise_the_batch(n):
+    w = np.stack([wishart_choi(n, RngStream(21, i)) for i in range(12)])
+    batch = operator_sinkhorn(w)
+    reference = [_sinkhorn_loop(wi) for wi in w]
+    assert len({iterations for _, iterations in reference}) > 1  # draws leave at different rounds
+    for i, (choi, _) in enumerate(reference):
+        assert np.array_equal(batch[i], choi)
+        assert np.array_equal(operator_sinkhorn(w[i : i + 1])[0], batch[i])
+        assert np.array_equal(random_bistochastic_channel(n, RngStream(21, i)).choi, batch[i])
+
+
+def test_operator_sinkhorn_raises_on_unconverged_draws():
+    n = 2
+    w = wishart_choi(n, RngStream(22, 0))
+    fixed = np.eye(n * n, dtype=complex) / n  # Choi matrix of the depolarizing channel
+    assert np.array_equal(operator_sinkhorn(fixed[None]), fixed[None])
+    with pytest.raises(ConvergenceError):
+        operator_sinkhorn(w[None], max_iter=1)
+    with pytest.raises(ConvergenceError):  # the converged fixed point is not returned alone
+        operator_sinkhorn(np.stack([fixed, w]), max_iter=1)
+    with pytest.raises(ConvergenceError):
+        random_bistochastic_channel(n, RngStream(22, 0), max_iter=1)
 
 
 def test_unitary_mixture_single_term_has_zero_entropy():
