@@ -357,7 +357,7 @@ def diag_channel_from_stochastic(t: np.ndarray) -> Channel:
     all off-diagonal entries.
     """
     t = classical.validate_stochastic(np.asarray(t, dtype=float))
-    return Channel(np.diag(np.clip(t, 0.0, None).reshape(-1)).astype(complex))
+    return Channel(np.diag(np.maximum(t, 0.0).reshape(-1)).astype(complex))
 
 
 __all__ = [

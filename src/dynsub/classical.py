@@ -14,6 +14,7 @@ All three coincide with H(T) when T is bistochastic and range over
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -78,9 +79,12 @@ def apply_stochastic(t: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 def entropy_uniform(t: np.ndarray) -> float:
     """H(T) = (1/N) sum_ij eta(T_ij), the uniformly weighted column entropy."""
-    t = validate_stochastic(t)
-    n = t.shape[0]
-    return float(np.sum(eta(np.clip(t, 0.0, 1.0)))) / n
+    return _h_uniform(validate_stochastic(t))
+
+
+def _h_uniform(t: np.ndarray) -> float:
+    """H(T) of a validated T."""
+    return float(np.sum(eta(t, math.inf))) / t.shape[0]
 
 
 def invariant_state(t: np.ndarray, tol: float = 1e-8) -> np.ndarray:
@@ -130,11 +134,22 @@ def entropy_invariant(t: np.ndarray) -> float:
 
 def entropy_weighted(t: np.ndarray, p: np.ndarray) -> float:
     """H_P(T) = sum_j p_j H(column j); P need not be stationary."""
+    t, p = _validate_pair(t, p)
+    return _h_weighted(t, p)
+
+
+def _validate_pair(t: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Validated T and P, of matching sizes."""
     t = validate_stochastic(t)
     p = validate_prob_vector(p)
     if t.shape[0] != p.size:
         raise DimensionError(f"matrix dim {t.shape[0]} vs vector dim {p.size}")
-    col_h = np.sum(eta(np.clip(t, 0.0, 1.0)), axis=0)
+    return t, p
+
+
+def _h_weighted(t: np.ndarray, p: np.ndarray) -> float:
+    """H_P(T) of a validated T and a validated P of its size."""
+    col_h = np.sum(eta(t, math.inf), axis=0)
     return float(col_h @ p)
 
 
@@ -151,9 +166,10 @@ def slomczynski_bounds(t: np.ndarray, p: np.ndarray) -> TransformBounds:
     ``upper_weak`` carries the weaker bound H_P(T) + 2 H(P) that also holds
     for quantum maps.
     """
-    hp_t = entropy_weighted(t, p)
-    h_p = shannon_entropy(validate_prob_vector(p))
-    actual = shannon_entropy(np.clip(apply_stochastic(t, p), 0.0, None))
+    t, p = _validate_pair(t, p)
+    hp_t = _h_weighted(t, p)
+    h_p = shannon_entropy(p)
+    actual = shannon_entropy(np.maximum(t @ p, 0.0))
     return TransformBounds(hp_t, hp_t + h_p, actual, hp_t + 2 * h_p)
 
 
@@ -185,11 +201,12 @@ def product_bounds(t2: np.ndarray, t1: np.ndarray) -> ProductBounds:
     n = t1.shape[0]
     p_star = uniform_vector(n)
     p1 = t1 @ p_star
-    h_t1 = entropy_uniform(t1)
-    h_t2 = entropy_uniform(t2)
-    h_p1 = shannon_entropy(np.clip(p1, 0.0, None))
-    hp1_t2 = entropy_weighted(t2, np.clip(p1, 0.0, None))
-    delta1 = shannon_entropy(np.clip(t2 @ p1, 0.0, None)) - h_p1
+    h_t1 = _h_uniform(t1)
+    h_t2 = _h_uniform(t2)
+    p1_clamped = validate_prob_vector(np.maximum(p1, 0.0))
+    h_p1 = shannon_entropy(p1_clamped)
+    hp1_t2 = _h_weighted(t2, p1_clamped)
+    delta1 = shannon_entropy(np.maximum(t2 @ p1, 0.0)) - h_p1
     delta2 = hp1_t2 - h_t2
     actual = entropy_uniform(t2 @ t1)
     return ProductBounds(

@@ -11,15 +11,17 @@ Because any sample is a pure function of (seed, index), the worst case of
 a suite can be replayed exactly from the report.
 
 Samples are evaluated in lockstep batches.  A suite that draws
-bistochastic channels is written as a generator: it yields the Wishart
-Choi matrix of each draw (``ch = yield wishart_choi(dim, g)``) and is sent
-back the channel.  :func:`evaluate_samples` steps a batch of sample
+bistochastic channels or matrices is written as a generator: for each
+draw it yields a request, a Sinkhorn scaler and the start it drew from its
+own stream (``ch = yield _bistochastic_channel(dim, g)``), and is sent
+back the scaled draw.  :func:`evaluate_samples` steps a batch of sample
 generators together (:func:`run_suite` passes up to ``BATCH`` indices at a
-time); each round stacks their pending Wishart matrices and runs one
-:func:`operator_sinkhorn` call on the stack.  Each sample keeps its own
-random stream and a Sinkhorn draw's result does not depend on its batch,
-so replay, :func:`evaluate_sample`, runs the same code on a batch of one
-and reproduces every bit of the batched run.  Evaluation is serial and
+time); each round stacks the pending starts of each scaler and calls it
+once on the stack (:func:`operator_sinkhorn` for channels,
+:func:`matrix_sinkhorn` for matrices).  Each sample keeps its own random
+stream and a Sinkhorn draw's result does not depend on its stack, so
+replay, :func:`evaluate_sample`, runs the same code on a batch of one and
+reproduces every bit of the batched run.  Evaluation is serial and
 ignores the ``DYNSUB_THREADS`` environment variable.
 """
 
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import math
 import time
-from collections.abc import Generator
+from collections.abc import Callable, Generator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,8 +52,9 @@ from .errors import DomainError
 from .matcore import max_entangled_projector, partial_trace, von_neumann_entropy
 from .randgen import (
     RngStream,
+    matrix_sinkhorn,
     operator_sinkhorn,
-    random_bistochastic_matrix,
+    positive_matrix,
     random_channel,
     random_density,
     random_qf_map,
@@ -129,20 +132,34 @@ def _eq(name: str, deviation: float, tol: float) -> Check:
 
 # -- per-sample check evaluation ---------------------------------------------
 
-# A sample that draws bistochastic channels: it yields each draw's Wishart
-# Choi matrix, is sent the Sinkhorn-scaled channel and returns its checks.
-SinkhornSample = Generator[np.ndarray, Channel, list[Check]]
+# A sample that draws bistochastic channels or matrices yields one request,
+# (scaler, start), per draw, is sent the scaled draw and returns its checks.
+# A scaler maps a stack of starts to the sequence of their draws.
+Request = tuple[Callable[[np.ndarray], object], np.ndarray]
+SinkhornSample = Generator[Request, object, list[Check]]
+
+
+def _sinkhorn_channels(w: np.ndarray) -> list[Channel]:
+    return [Channel(choi) for choi in operator_sinkhorn(w)]
+
+
+def _bistochastic_channel(dim: int, g: np.random.Generator) -> Request:
+    return _sinkhorn_channels, wishart_choi(dim, g)
+
+
+def _bistochastic_matrix(dim: int, g: np.random.Generator) -> Request:
+    return matrix_sinkhorn, positive_matrix(dim, g)
 
 
 def _sample_dynsub_bistochastic(dim: int, g: np.random.Generator, tol: float) -> SinkhornSample:
-    phi1 = yield wishart_choi(dim, g)
+    phi1 = yield _bistochastic_channel(dim, g)
     phi2 = random_channel(dim, g)
     s1, s2 = map_entropy(phi1), map_entropy(phi2)
     s21 = map_entropy(phi2.compose(phi1))
     checks = [_ineq("subadditivity.upper", s1 + s2 - s21, tol)]
 
-    b1 = yield wishart_choi(dim, g)
-    b2 = yield wishart_choi(dim, g)
+    b1 = yield _bistochastic_channel(dim, g)
+    b2 = yield _bistochastic_channel(dim, g)
     t1, t2 = map_entropy(b1), map_entropy(b2)
     t12 = map_entropy(b1.compose(b2))
     t21 = map_entropy(b2.compose(b1))
@@ -157,9 +174,9 @@ def _sample_dynsub_bistochastic(dim: int, g: np.random.Generator, tol: float) ->
 
 
 def _sample_strong_dynsub(dim: int, g: np.random.Generator, tol: float) -> SinkhornSample:
-    b1 = yield wishart_choi(dim, g)
-    b2 = yield wishart_choi(dim, g)
-    b3 = yield wishart_choi(dim, g)
+    b1 = yield _bistochastic_channel(dim, g)
+    b2 = yield _bistochastic_channel(dim, g)
+    b3 = yield _bistochastic_channel(dim, g)
     s321 = map_entropy(b3.compose(b2).compose(b1))
     s2 = map_entropy(b2)
     s32 = map_entropy(b3.compose(b2))
@@ -190,8 +207,8 @@ def _sample_dynsub_general(dim: int, g: np.random.Generator, tol: float) -> Sink
         _ineq("general.upper", s1 + s2 + delta2 - s21, tol),
     ]
 
-    bb1 = yield wishart_choi(dim, g)
-    bb2 = yield wishart_choi(dim, g)
+    bb1 = yield _bistochastic_channel(dim, g)
+    bb2 = yield _bistochastic_channel(dim, g)
     bout1 = bb1.apply(rho_star)
     d1 = von_neumann_entropy(bb2.apply(bout1)) - von_neumann_entropy(bout1)
     d2 = entropy_exchange(bb2, bout1) - map_entropy(bb2)
@@ -237,7 +254,7 @@ def _sample_data_processing(dim: int, g: np.random.Generator, tol: float) -> lis
     return [_ineq("data_processing", i1 - i21, tol)]
 
 
-def _sample_classical(dim: int, g: np.random.Generator, tol: float) -> list[Check]:
+def _sample_classical(dim: int, g: np.random.Generator, tol: float) -> SinkhornSample:
     tol_thm = 1e-10 if tol == INEQ_TOL else tol
     t1 = random_stochastic(dim, g)
     t2 = random_stochastic(dim, g)
@@ -254,9 +271,9 @@ def _sample_classical(dim: int, g: np.random.Generator, tol: float) -> list[Chec
     checks.append(_ineq("transform.upper", sb.upper - sb.actual, tol_thm))
     checks.append(_ineq("transform.upper_weak", sb.upper_weak - sb.actual, tol_thm))
 
-    b1 = random_bistochastic_matrix(dim, g)
-    b2 = random_bistochastic_matrix(dim, g)
-    b3 = random_bistochastic_matrix(dim, g)
+    b1 = yield _bistochastic_matrix(dim, g)
+    b2 = yield _bistochastic_matrix(dim, g)
+    b3 = yield _bistochastic_matrix(dim, g)
     h1, h2 = cl.entropy_uniform(b1), cl.entropy_uniform(b2)
     h21 = cl.entropy_uniform(b2 @ b1)
     h12 = cl.entropy_uniform(b1 @ b2)
@@ -332,8 +349,8 @@ def _sample_statecomp(dim: int, g: np.random.Generator, tol: float) -> SinkhornS
     checks.append(_eq("states.d1_closure", np.abs(partial_trace(comp, "A") - flat).max(), 1e-8))
     checks.append(_eq("states.d1_trace", abs(np.trace(comp) - 1.0), 1e-9))
 
-    k1 = yield wishart_choi(dim, g)
-    k2 = yield wishart_choi(dim, g)
+    k1 = yield _bistochastic_channel(dim, g)
+    k2 = yield _bistochastic_channel(dim, g)
     compb = odot_state(jam_state(k2), jam_state(k1))
     dev2 = max(
         np.abs(partial_trace(compb, "A") - flat).max(),
@@ -391,7 +408,7 @@ def _sample_quasifree(modes: int, g: np.random.Generator, tol: float) -> list[Ch
 
 
 def _sample_power_subadd(dim: int, g: np.random.Generator, tol: float) -> SinkhornSample:
-    ch = yield wishart_choi(dim, g)
+    ch = yield _bistochastic_channel(dim, g)
     s = map_entropy(ch)
     worst = math.inf
     power = ch
@@ -425,8 +442,8 @@ def evaluate_samples(
 
     Each sample draws from its own ``RngStream(seed, index)``.  The
     generators of a Sinkhorn suite advance in rounds: one round collects
-    the Wishart matrix each live sample yields and sends back the channels
-    of one :func:`operator_sinkhorn` call on their stack.
+    the request each live sample yields and sends back the draws of one
+    call of each scaler on the stack of its starts.
     """
     fn = SUITES[suite][0]
     results: list = [None] * len(indices)
@@ -439,16 +456,22 @@ def evaluate_samples(
             live.append((pos, out))
     sent = [None] * len(live)
     while live:
-        waiting, drawn = [], []
-        for (pos, sample), channel in zip(live, sent):
+        waiting, requests = [], []
+        for (pos, sample), draw in zip(live, sent):
             try:
-                drawn.append(sample.send(channel))
+                requests.append(sample.send(draw))
                 waiting.append((pos, sample))
             except StopIteration as stop:
                 results[pos] = stop.value
         live = waiting
-        if drawn:
-            sent = [Channel(choi) for choi in operator_sinkhorn(np.stack(drawn))]
+        sent = [None] * len(requests)
+        by_scaler: dict = {}
+        for i, (scale, _) in enumerate(requests):
+            by_scaler.setdefault(scale, []).append(i)
+        for scale, members in by_scaler.items():
+            draws = scale(np.stack([requests[i][1] for i in members]))
+            for i, draw in zip(members, draws):
+                sent[i] = draw
     return results
 
 

@@ -25,6 +25,7 @@ from .errors import (
 
 CLAMP_TOL = 1e-9
 HERMIT_TOL = 1e-10
+_TINY = np.nextafter(0.0, 1.0)  # the smallest positive double
 
 
 def _as_square(x: np.ndarray) -> np.ndarray:
@@ -169,17 +170,26 @@ def eta(x, clamp_tol: float = CLAMP_TOL):
     """The entropy kernel -x ln x, with eta(0) = 0.
 
     Accepts scalars or arrays.  Values within ``clamp_tol`` outside [0, 1]
-    are clamped; values further out raise :class:`DomainError`.
+    are clamped; values further out raise :class:`DomainError`.  With
+    ``clamp_tol=math.inf`` every value is clamped and none is checked.
     """
     arr = np.asarray(x, dtype=float)
-    if arr.size and (arr.min() < -clamp_tol or arr.max() > 1 + clamp_tol):
+    if (
+        clamp_tol < math.inf
+        and arr.size
+        and (arr.min() < -clamp_tol or arr.max() > 1 + clamp_tol)
+    ):
         raise DomainError(
             f"argument outside [0,1] clamp window: min {arr.min()}, max {arr.max()}"
         )
-    arr = np.clip(arr, 0.0, 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(arr > 0, -arr * np.log(arr), 0.0)
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+    # Clamp with ufuncs rather than np.clip, whose Python-level dispatch
+    # costs more than the arithmetic on small arrays: fmax sends NaN to 0 and
+    # "+ 0.0" turns -0.0 into 0.0.  Zeros reach the log as the smallest
+    # subnormal, so no floating-point error state is switched per call, and
+    # (-0.0) * ln(5e-324) is exactly 0.0.
+    arr = np.minimum(np.fmax(arr, 0.0), 1.0) + 0.0
+    out = -arr * np.log(np.maximum(arr, _TINY))
+    return float(out) if arr.ndim == 0 else out
 
 
 def validate_density_matrix(x: np.ndarray, tol: float = CLAMP_TOL) -> np.ndarray:
@@ -202,7 +212,7 @@ def spectrum_entropy(vals: np.ndarray, tol: float = CLAMP_TOL) -> float:
     ``-tol`` raises :class:`PositivityError`.
     """
     check_spectrum(vals, tol, what="density matrix")
-    return float(np.sum(eta(np.clip(vals, 0.0, 1.0))))
+    return float(np.sum(eta(vals, math.inf)))
 
 
 def von_neumann_entropy(rho: np.ndarray, tol: float = CLAMP_TOL) -> float:
@@ -219,4 +229,4 @@ def shannon_entropy(p: np.ndarray, tol: float = 1e-10) -> float:
         raise DomainError(f"negative probability {p.min():.3e}")
     if abs(p.sum() - 1.0) > max(tol, 1e-10):
         raise TraceError(f"probabilities sum to {p.sum()}")
-    return float(np.sum(eta(np.clip(p, 0.0, 1.0))))
+    return float(np.sum(eta(p, math.inf)))

@@ -146,19 +146,42 @@ def random_stochastic(n: int, rng) -> np.ndarray:
     return g.dirichlet(np.ones(n), size=n).T
 
 
-def random_bistochastic_matrix(n: int, rng, tol: float = 1e-12, max_iter: int = 10000) -> np.ndarray:
-    """Bistochastic matrix from Sinkhorn normalization of a positive matrix."""
-    g = _gen(rng)
-    m = g.uniform(0.05, 1.0, size=(n, n))
+def positive_matrix(n: int, rng) -> np.ndarray:
+    """N x N matrix with entries uniform in [0.05, 1); the start of a matrix Sinkhorn draw."""
+    return _gen(rng).uniform(0.05, 1.0, size=(n, n))
+
+
+def matrix_sinkhorn(m: np.ndarray, tol: float = 1e-12, max_iter: int = 10000) -> np.ndarray:
+    """Scale a stack of positive matrices to bistochastic ones.
+
+    Maps ``(B, N, N)`` to ``(B, N, N)``: each matrix alternately has its
+    columns and its rows normalized until all sums are 1 within ``tol``.  A
+    matrix leaves the stack at the step where it converges, so its result
+    is the same in any stack.  Raises :class:`ConvergenceError` if a matrix
+    is still unconverged at ``max_iter``.
+    """
+    m = np.asarray(m, dtype=float)
+    out = np.empty_like(m)
+    live = np.arange(len(m))
+    # The column sums checked at the end of a step divide the next one.
+    col = m.sum(axis=1, keepdims=True)
     for _ in range(max_iter):
-        m = m / m.sum(axis=0, keepdims=True)
-        m = m / m.sum(axis=1, keepdims=True)
-        if (
-            np.abs(m.sum(axis=0) - 1.0).max() <= tol
-            and np.abs(m.sum(axis=1) - 1.0).max() <= tol
-        ):
-            return m
+        m = m / col
+        m = m / m.sum(axis=2, keepdims=True)
+        col = m.sum(axis=1, keepdims=True)
+        err = np.abs(col - 1.0).max(axis=(1, 2))
+        if err.min() <= tol:
+            done = (err <= tol) & (np.abs(m.sum(axis=2) - 1.0).max(axis=1) <= tol)
+            out[live[done]] = m[done]
+            if done.all():
+                return out
+            live, m, col = live[~done], m[~done], col[~done]
     raise ConvergenceError(f"Sinkhorn did not reach {tol} in {max_iter} iterations")
+
+
+def random_bistochastic_matrix(n: int, rng, tol: float = 1e-12, max_iter: int = 10000) -> np.ndarray:
+    """Bistochastic matrix: :func:`matrix_sinkhorn` of a :func:`positive_matrix` draw."""
+    return matrix_sinkhorn(positive_matrix(n, rng)[None], tol, max_iter)[0]
 
 
 def random_symbol(n: int, rng) -> np.ndarray:

@@ -12,6 +12,7 @@ SINKHORN_SUITES = [
     "dynsub_general",
     "statecomp_algebra",
     "power_subadd",
+    "classical",
 ]
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,15 @@ def test_eta_clamps_and_rejects():
         eta(-1e-3)
     with pytest.raises(DomainError):
         eta(1.01)
+
+
+def test_eta_without_domain_check_clamps_everything():
+    x = np.array([-0.5, -0.0, 0.0, 0.25, 1.0, 1.5, np.nan])
+    out = eta(x, math.inf)
+    assert np.array_equal(out, [0.0, 0.0, 0.0, eta(0.25), 0.0, 0.0, 0.0])
+    assert not np.signbit(out[:3]).any()  # zeros stay positive zeros
+    assert eta(0.0, math.inf) == 0.0 and not math.copysign(1.0, eta(0.0, math.inf)) < 0
+    assert eta(np.nextafter(0.0, 1.0)) > 0.0
 
 
 def test_von_neumann_entropy_closed_values():

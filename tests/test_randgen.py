@@ -12,7 +12,9 @@ from dynsub.randgen import (
     RngStream,
     ginibre,
     haar_unitary,
+    matrix_sinkhorn,
     operator_sinkhorn,
+    positive_matrix,
     random_bistochastic_channel,
     random_bistochastic_matrix,
     random_channel,
@@ -125,6 +127,19 @@ def test_random_stochastic_matrices():
     validate_stochastic(t)
     b = random_bistochastic_matrix(5, RngStream(6, 1))
     assert is_bistochastic(b, 1e-10)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9])
+def test_matrix_sinkhorn_stack_is_bitwise_the_single_draws(n):
+    starts = np.stack([positive_matrix(n, RngStream(23, i)) for i in range(12)])
+    stack = matrix_sinkhorn(starts)
+    assert stack.shape == (12, n, n)
+    for i in range(12):
+        assert np.array_equal(matrix_sinkhorn(starts[i : i + 1])[0], stack[i])
+        assert np.array_equal(random_bistochastic_matrix(n, RngStream(23, i)), stack[i])
+        assert is_bistochastic(stack[i], 1e-12)
+    with pytest.raises(ConvergenceError):
+        matrix_sinkhorn(np.stack([positive_matrix(3, RngStream(23, i)) for i in range(2)]), max_iter=1)
 
 
 def test_flat_matrix_is_sinkhorn_fixed_point():
