@@ -71,8 +71,9 @@ class KrausSet:
 class Channel:
     """A quantum map with its Choi matrix as the canonical representation.
 
-    The CP/TP/unitality flags and the spectrum of D/N, which gives ``is_cp``
-    and :func:`map_entropy`, are computed from it on first use and cached;
+    The CP/TP/unitality flags, the spectrum of D/N, which gives ``is_cp``
+    and :func:`map_entropy`, and the eigendecomposition of D, which gives
+    :func:`to_kraus`, are computed from it on first use and cached;
     instances should be treated as immutable.  For concurrent use, call
     :meth:`revalidate` once before sharing across threads.
     """
@@ -86,6 +87,7 @@ class Channel:
         self._is_tp: bool | None = None
         self._is_unital: bool | None = None
         self._jam_spectrum: np.ndarray | None = None
+        self._choi_eig: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def dim(self) -> int:
@@ -119,6 +121,18 @@ class Channel:
             self._jam_spectrum = hermitian_eigvals(self.choi / self._dim, self.tol, "D/N")
             self._jam_spectrum.flags.writeable = False
         return self._jam_spectrum
+
+    @property
+    def choi_eig(self) -> tuple[np.ndarray, np.ndarray]:
+        """``eig_hermitian(D, tol)``: ascending eigenvalues and eigenvector columns of D.
+
+        Computed once; read-only.
+        """
+        if self._choi_eig is None:
+            self._choi_eig = eig_hermitian(self.choi, hermit_tol=self.tol)
+            for a in self._choi_eig:
+                a.flags.writeable = False
+        return self._choi_eig
 
     # -- structural predicates -------------------------------------------
 
@@ -180,7 +194,7 @@ class Channel:
 
 
 def to_kraus(channel: Channel, cutoff: float = KRAUS_CUTOFF) -> KrausSet:
-    """Canonical Kraus form from the Choi eigendecomposition.
+    """Canonical Kraus form from the cached Choi eigendecomposition.
 
     Eigenvalues below ``cutoff`` are dropped.  Operators are ordered by
     descending weight; each eigenvector's phase is fixed by making its
@@ -190,7 +204,7 @@ def to_kraus(channel: Channel, cutoff: float = KRAUS_CUTOFF) -> KrausSet:
     if not channel.is_cp:
         raise PositivityError("channel is not completely positive")
     n = channel.dim
-    vals, vecs = eig_hermitian(channel.choi, hermit_tol=channel.tol)
+    vals, vecs = channel.choi_eig
     order = np.argsort(-vals, kind="stable")
     order = order[vals[order] > cutoff]
     if order.size == 0:

@@ -225,17 +225,30 @@ def _require_bistochastic(*mats: np.ndarray) -> None:
             raise BistochasticityError("matrix is not bistochastic within 1e-8")
 
 
-def check_symmetric_bound(t1: np.ndarray, t2: np.ndarray, tol: float = 1e-9) -> bool:
-    """max(H(T1), H(T2)) <= min(H(T1 T2), H(T2 T1)) for bistochastic inputs."""
-    _require_bistochastic(t1, t2)
-    lhs = max(entropy_uniform(t1), entropy_uniform(t2))
-    rhs = min(entropy_uniform(t1 @ t2), entropy_uniform(t2 @ t1))
-    return lhs <= rhs + tol
+class BistochasticSlacks(NamedTuple):
+    subadditivity: float
+    symmetric: float
+    strong: float
 
 
-def check_strong_subadd(t1: np.ndarray, t2: np.ndarray, t3: np.ndarray, tol: float = 1e-9) -> bool:
-    """H(T3 T2 T1) + H(T2) <= H(T3 T2) + H(T2 T1) for bistochastic inputs."""
+def bistochastic_slacks(t1: np.ndarray, t2: np.ndarray, t3: np.ndarray) -> BistochasticSlacks:
+    """Slacks of the three entropy bounds for bistochastic T1, T2, T3.
+
+    * subadditivity: H(T2 T1) <= H(T1) + H(T2);
+    * symmetric: max(H(T1), H(T2)) <= min(H(T1 T2), H(T2 T1));
+    * strong: H(T3 T2 T1) + H(T2) <= H(T3 T2) + H(T2 T1).
+
+    Each slack is the right side minus the left, so a bound holds iff its
+    slack is nonnegative.  Raises :class:`BistochasticityError` unless all
+    three inputs are bistochastic within 1e-8.
+    """
+    t1, t2, t3 = (np.asarray(t, dtype=float) for t in (t1, t2, t3))
     _require_bistochastic(t1, t2, t3)
-    lhs = entropy_uniform(t3 @ t2 @ t1) + entropy_uniform(t2)
-    rhs = entropy_uniform(t3 @ t2) + entropy_uniform(t2 @ t1)
-    return lhs <= rhs + tol
+    h1, h2 = _h_uniform(t1), _h_uniform(t2)
+    h21 = _h_uniform(t2 @ t1)
+    h12 = _h_uniform(t1 @ t2)
+    return BistochasticSlacks(
+        h1 + h2 - h21,
+        min(h12, h21) - max(h1, h2),
+        _h_uniform(t3 @ t2) + h21 - _h_uniform(t3 @ t2 @ t1) - h2,
+    )

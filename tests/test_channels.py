@@ -24,6 +24,7 @@ from dynsub.channels import (
 from dynsub.classical import entropy_uniform, flat_matrix
 from dynsub.errors import DimensionError, HermiticityError, PositivityError, UnitarityError
 from dynsub.matcore import (
+    eig_hermitian,
     kron,
     max_entangled_projector,
     partial_trace,
@@ -283,6 +284,30 @@ def test_map_entropy_takes_one_spectrum(monkeypatch, n):
     # bitwise the value of the uncached route
     fresh = Channel(composed.choi)
     assert s == von_neumann_entropy(jam_state(fresh))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_kraus_form_takes_one_eigendecomposition(monkeypatch, n):
+    ch = random_channel(n, 80 + n)
+    rho = random_density(n, 90 + n)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda x: calls.append(1) or eigh(x))
+    ks = to_kraus(ch)
+    s = entropy_exchange(ch, rho)
+    assert len(calls) == 1
+    again = to_kraus(ch, cutoff=1e-3)
+    assert entropy_exchange(ch, rho) == s and len(calls) == 1
+    assert len(again) <= len(ks)
+    with pytest.raises(ValueError):
+        ch.choi_eig[1][0, 0] = 0.0  # the cache is read-only
+    monkeypatch.undo()
+    # bitwise the values of the uncached route
+    fresh = Channel(ch.choi)
+    vals, vecs = eig_hermitian(fresh.choi, fresh.tol)
+    assert np.array_equal(ch.choi_eig[0], vals) and np.array_equal(ch.choi_eig[1], vecs)
+    assert np.array_equal(to_kraus(fresh).operators, ks.operators)
+    assert entropy_exchange(fresh, rho) == s
 
 
 def test_sigma_hat_tracial_matches_jam_spectrum():

@@ -4,8 +4,7 @@ import pytest
 from dynsub.channels import diag_channel_from_stochastic, entropy_exchange
 from dynsub.classical import (
     apply_stochastic,
-    check_strong_subadd,
-    check_symmetric_bound,
+    bistochastic_slacks,
     entropy_invariant,
     entropy_uniform,
     entropy_weighted,
@@ -143,16 +142,17 @@ def test_product_bounds_randomized():
 
 
 def test_symmetric_bound():
+    # the third matrix enters only the strong bound
     perm = np.eye(3)[:, [1, 2, 0]]
-    assert check_symmetric_bound(perm, perm)
+    assert bistochastic_slacks(perm, perm, np.eye(3)).symmetric >= -1e-9
     t = random_bistochastic_matrix(3, 7)
-    assert check_symmetric_bound(t, flat_matrix(3))
+    assert bistochastic_slacks(t, flat_matrix(3), np.eye(3)).symmetric >= -1e-9
     for seed in range(100):
         t1 = random_bistochastic_matrix(4, 7000 + seed)
         t2 = random_bistochastic_matrix(4, 8000 + seed)
-        assert check_symmetric_bound(t1, t2)
+        assert bistochastic_slacks(t1, t2, np.eye(4)).symmetric >= -1e-9
     with pytest.raises(BistochasticityError):
-        check_symmetric_bound(ABSORBING, flat_matrix(2))
+        bistochastic_slacks(ABSORBING, flat_matrix(2), np.eye(2))
 
 
 def test_strong_subadditivity():
@@ -160,12 +160,22 @@ def test_strong_subadditivity():
     for seed in range(50):
         t1 = random_bistochastic_matrix(3, 9000 + seed)
         t3 = random_bistochastic_matrix(3, 9500 + seed)
-        assert check_strong_subadd(t1, np.eye(3), t3)
+        assert bistochastic_slacks(t1, np.eye(3), t3).strong >= -1e-9
     perm = np.eye(4)[:, [3, 0, 1, 2]]
-    assert check_strong_subadd(perm, perm, perm)
+    assert bistochastic_slacks(perm, perm, perm).strong >= -1e-9
     for seed in range(100):
         mats = [random_bistochastic_matrix(3, 10000 + 3 * seed + k) for k in range(3)]
-        assert check_strong_subadd(*mats)
+        slacks = bistochastic_slacks(*mats)
+        assert min(slacks) >= -1e-9, slacks
+
+
+def test_bistochastic_slacks_are_the_entropy_differences():
+    t1, t2, t3 = (random_bistochastic_matrix(3, 10500 + k) for k in range(3))
+    h = entropy_uniform
+    slacks = bistochastic_slacks(t1, t2, t3)
+    assert slacks.subadditivity == h(t1) + h(t2) - h(t2 @ t1)
+    assert slacks.symmetric == min(h(t1 @ t2), h(t2 @ t1)) - max(h(t1), h(t2))
+    assert slacks.strong == h(t3 @ t2) + h(t2 @ t1) - h(t3 @ t2 @ t1) - h(t2)
 
 
 def test_embedding_identity():

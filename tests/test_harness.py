@@ -1,19 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
 from dynsub import harness
 from dynsub.errors import DomainError
 from dynsub.harness import SUITES, evaluate_sample, evaluate_samples, run_all, run_suite
-
-SINKHORN_SUITES = [
-    "dynsub_bistochastic",
-    "strong_dynsub",
-    "dynsub_general",
-    "statecomp_algebra",
-    "power_subadd",
-    "classical",
-]
 
 
 @pytest.mark.parametrize("suite", sorted(SUITES))
@@ -44,7 +36,7 @@ def test_worst_case_replay_matches():
     assert match and match[0].slack == report.worst_violation
 
 
-@pytest.mark.parametrize("suite", SINKHORN_SUITES)
+@pytest.mark.parametrize("suite", sorted(SUITES))
 def test_batch_slacks_equal_replay(suite, monkeypatch):
     batch = evaluate_samples(suite, 2, 17, range(8))
     singles = [evaluate_sample(suite, 2, 17, i) for i in range(8)]
@@ -55,6 +47,24 @@ def test_batch_slacks_equal_replay(suite, monkeypatch):
             expected[c.name] = min(c.slack, expected.get(c.name, c.slack))
     monkeypatch.setattr(harness, "BATCH", 3)  # run_suite splits the 8 samples into 3 batches
     assert run_suite(suite, 2, samples=8, seed=17).checks == expected
+
+
+@pytest.mark.parametrize(
+    "suite, scaler, rows",
+    [("dynsub_bistochastic", "operator_sinkhorn", 24), ("classical", "matrix_sinkhorn", 24)],
+)
+def test_a_batch_makes_one_sinkhorn_call(suite, scaler, rows, monkeypatch):
+    calls = []
+    for name in ("operator_sinkhorn", "matrix_sinkhorn"):
+        original = getattr(harness, name)
+        monkeypatch.setattr(
+            harness, name, lambda w, name=name, f=original: calls.append((name, len(w))) or f(w)
+        )
+    evaluate_samples(suite, 2, 17, range(8))  # 8 samples, 3 Sinkhorn draws each
+    assert calls == [(scaler, rows)]
+    calls.clear()
+    evaluate_samples("lindblad", 2, 17, range(8))
+    assert calls == []
 
 
 def test_statecomp_algebra_refuses_dim_1():
@@ -106,3 +116,99 @@ def test_threaded_run_matches_serial(monkeypatch):
 def test_unknown_suite_raises():
     with pytest.raises(KeyError):
         run_suite("nope", 2, 1, 0)
+
+
+# Four samples at seed 42 and each suite's smallest default dim, recorded
+# before the suites were split into a draw phase and a check phase.  A
+# reordered stream draw moves the worst case or an inequality's margin.
+# Equality residuals are round-off that depends on the BLAS build, so only
+# the inequalities' minimum slacks are pinned.
+DRAW_ORDER_PINS = {
+    "dynsub_bistochastic": (2, 0, "symmetric.lower", {
+        "subadditivity.upper": 0.6077839770531879,
+        "symmetric.lower": 0.2607634596755104,
+        "triangle.lower": 0.2607634596755104,
+        "triangle.upper": 0.543398845055225,
+    }),
+    "strong_dynsub": (2, 2, "strong_subadditivity", {
+        "strong_subadditivity": 0.16946165602433716,
+        "strong_subadditivity.states": 0.16946165602433716,
+    }),
+    "dynsub_general": (2, 1, "general.delta2_vanishes", {
+        "exchange.strong_subadditivity": 0.14077271962398408,
+        "general.lower": 0.21801921718879713,
+        "general.upper": 0.6019022146684163,
+    }),
+    "lindblad": (2, 3, "exchange.purification", {
+        "lindblad.lower": 0.09640620195712457,
+        "lindblad.upper": 0.38400377452646994,
+    }),
+    "data_processing": (2, 2, "data_processing", {
+        "data_processing": 0.025014765685019813,
+    }),
+    "classical": (2, 0, "embedding.composition_covariance", {
+        "bistochastic.strong": 0.012937111773514087,
+        "bistochastic.subadditivity": 0.2993937822252074,
+        "bistochastic.symmetric": 0.0011316666772331896,
+        "product.lower": 0.0032750764489468676,
+        "product.upper": 0.3506427794475834,
+        "product.upper_weak": 0.9243306024217325,
+        "transform.lower": 0.0007584818795290937,
+        "transform.upper": 0.14965207444925466,
+        "transform.upper_weak": 0.3047747601994856,
+    }),
+    "statecomp_algebra": (2, 2, "algebra.hermiticity_closure", {
+        "algebra.noncommutativity_witness": 0.0660824666744156,
+        "algebra.positivity_closure": 0.036890510624982935,
+        "states.not_square_witness": 0.07698028211745492,
+    }),
+    # qf.jam_validity sits at its boundary (extreme maps have symbol
+    # eigenvalues 0 and 1), so its slack is round-off: hence the abs bound.
+    "quasifree": (4, 3, "qf.compose_oracle", {
+        "qf.jam_validity": -1.9984014443252818e-15,
+        "qf.subadditivity.lower": 0.00723630176484491,
+        "qf.subadditivity.upper": 2.5969467695157924,
+    }),
+    "power_subadd": (2, 0, "power.subadditivity", {
+        "power.subadditivity": 0.5035150771633536,
+    }),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_draw_order_is_pinned(suite):
+    dim, worst_index, worst_check, slacks = DRAW_ORDER_PINS[suite]
+    assert dim == min(SUITES[suite][1])
+    report = run_suite(suite, dim, samples=4, seed=42)
+    assert (report.worst_index, report.worst_check) == (worst_index, worst_check)
+    for name, slack in slacks.items():
+        assert report.checks[name] == pytest.approx(slack, rel=1e-9, abs=1e-12), name
+
+
+# Traces of the Sinkhorn starts that sample 0 at seed 42 hands to the
+# scaler, in order, recorded alongside DRAW_ORDER_PINS.  Some draws feed only
+# equality residuals (statecomp_algebra's channels), so the slacks above
+# cannot see where a start sits among them; the starts' traces can.
+START_TRACE_PINS = {
+    "dynsub_bistochastic": [17.54883040072032, 18.049450442457267, 12.863321665081738],
+    "strong_dynsub": [17.54883040072032, 12.13865549652581, 18.049450442457267],
+    "dynsub_general": [18.049450442457267, 12.863321665081738],
+    "lindblad": [],
+    "data_processing": [],
+    "classical": [0.4133681188190319, 1.4652961021405282, 1.0618541636941357],
+    "statecomp_algebra": [15.689028308738033, 14.56672051470707],
+    "quasifree": [],
+    "power_subadd": [17.54883040072032],
+}
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_sinkhorn_starts_keep_their_draw_order(suite, monkeypatch):
+    traces = []
+    for name in ("operator_sinkhorn", "matrix_sinkhorn"):
+        original = getattr(harness, name)
+        monkeypatch.setattr(
+            harness, name, lambda w, f=original: traces.extend(np.trace(x).real for x in w) or f(w)
+        )
+    evaluate_sample(suite, DRAW_ORDER_PINS[suite][0], 42, 0)
+    assert traces == pytest.approx(START_TRACE_PINS[suite], rel=1e-9)
