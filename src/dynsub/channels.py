@@ -15,6 +15,7 @@ depolarizing).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -30,6 +31,7 @@ from .errors import (
 )
 from .matcore import (
     _as_square,
+    _float_or_stack,
     _square_side,
     eig_hermitian,
     hermitian_eigvals,
@@ -147,8 +149,7 @@ class Channel:
     @property
     def is_tp(self) -> bool:
         if self._is_tp is None:
-            dev = np.abs(partial_trace(self.choi, "A") - np.eye(self._dim)).max()
-            self._is_tp = bool(dev <= self.tol)
+            self._is_tp = bool(_tp_defect(self.choi) <= self.tol)
         return self._is_tp
 
     @property
@@ -227,6 +228,11 @@ def apply_kraus(operators, rho: np.ndarray) -> np.ndarray:
     return out
 
 
+def _tp_defect(choi: np.ndarray):
+    """Max-norm distance of the first partial trace of D from the identity, per matrix of a stack."""
+    return np.abs(partial_trace(choi, "A") - np.eye(math.isqrt(choi.shape[-1]))).max(axis=(-2, -1))
+
+
 def _require_cptp(channel: Channel) -> None:
     if not channel.is_cp:
         raise PositivityError("channel is not completely positive")
@@ -243,9 +249,13 @@ def jam_state(channel: Channel) -> np.ndarray:
 def map_entropy(channel: Channel) -> float:
     """Entropy of the Jamiolkowski state, in [0, 2 ln N], from the cached spectrum."""
     _require_cptp(channel)
-    s = spectrum_entropy(channel.jam_spectrum)
-    upper = 2 * np.log(channel.dim) + 1e-9
-    if not -1e-12 <= s <= upper:
+    return _map_entropy_in_range(spectrum_entropy(channel.jam_spectrum), channel.dim)
+
+
+def _map_entropy_in_range(s, n: int):
+    """``s``; raise unless each map entropy in it lies in [0, 2 ln N] up to round-off."""
+    low, high = (s, s) if isinstance(s, float) else (s.min(), s.max())
+    if not (-1e-12 <= low and high <= 2 * np.log(n) + 1e-9):
         raise NumericalError(f"map entropy {s} outside [0, 2 ln N]")
     return s
 
@@ -309,14 +319,18 @@ class LindbladBounds(NamedTuple):
     lower: float
     upper: float
     actual: float
+    exchange: float
 
 
 def lindblad_bounds(channel: Channel, rho: np.ndarray) -> LindbladBounds:
-    """Two-sided bound |S(sigma) - S(rho)| <= S(rho') <= S(sigma) + S(rho)."""
+    """Two-sided bound |S(sigma) - S(rho)| <= S(rho') <= S(sigma) + S(rho).
+
+    ``exchange`` is S(sigma), the exchange entropy the bounds are built from.
+    """
     s_sigma = entropy_exchange(channel, rho)
     s_rho = von_neumann_entropy(rho)
     s_out = von_neumann_entropy(channel.apply(rho))
-    return LindbladBounds(abs(s_sigma - s_rho), s_sigma + s_rho, s_out)
+    return LindbladBounds(abs(s_sigma - s_rho), s_sigma + s_rho, s_out, s_sigma)
 
 
 def coherent_information(channel: Channel, rho: np.ndarray) -> float:
@@ -359,9 +373,13 @@ def unitary_channel(u: np.ndarray, tol: float = 1e-9) -> Channel:
 
 def stochastic_from_channel(channel: Channel) -> np.ndarray:
     """Read the transition matrix T[i, j] = D[(i,j), (i,j)] off the Choi diagonal."""
-    n = channel.dim
-    t = np.diag(channel.choi).real.reshape(n, n)
-    return classical.validate_stochastic(t, tol=1e-8)
+    return classical.validate_stochastic(_choi_diagonal(channel.choi), tol=1e-8)
+
+
+def _choi_diagonal(choi: np.ndarray) -> np.ndarray:
+    """The diagonal of D as an N x N real matrix, or of each D of a stack."""
+    n = _square_side(choi, stack=True)
+    return np.diagonal(choi, axis1=-2, axis2=-1).real.reshape(*choi.shape[:-2], n, n)
 
 
 def diag_channel_from_stochastic(t: np.ndarray) -> Channel:
@@ -370,8 +388,71 @@ def diag_channel_from_stochastic(t: np.ndarray) -> Channel:
     Acts on diagonal states exactly as the Markov step p' = T p and strips
     all off-diagonal entries.
     """
-    t = classical.validate_stochastic(np.asarray(t, dtype=float))
-    return Channel(np.diag(np.maximum(t, 0.0).reshape(-1)).astype(complex))
+    return Channel(_diag_choi(classical.validate_stochastic(np.asarray(t, dtype=float))))
+
+
+def _diag_choi(t: np.ndarray) -> np.ndarray:
+    """D(T), the diagonal Choi matrix of a validated T, or of each T of a stack."""
+    d = t.shape[-1] ** 2
+    out = np.zeros((*t.shape[:-2], d, d), dtype=complex)
+    out[..., np.arange(d), np.arange(d)] = np.maximum(t, 0.0).reshape(*t.shape[:-2], d)
+    return out
+
+
+# Samples whose N**2 x N**2 Choi matrices embedding_defects holds at once:
+# a whole batch of them would raise the peak memory of a run by megabytes.
+EMBED_CHUNK = 8
+
+
+class EmbeddingDefects(NamedTuple):
+    entropy_identity: float
+    composition_covariance: float
+    exchange_identity: float
+
+
+def embedding_defects(t1: np.ndarray, t2: np.ndarray, p: np.ndarray) -> EmbeddingDefects:
+    """Deviations from three identities of the diagonal embedding T -> D(T).
+
+    * entropy_identity: S(D(T1)) - H(T1) - ln N, with S the map entropy;
+    * composition_covariance: max |T(D(T2) D(T1)) - T2 T1|, where T(D) is
+      the transition matrix read off the diagonal of D;
+    * exchange_identity: S_ex(D(T1), diag P) - H_P(T1) - H(P), with the
+      exchange entropy taken by the Kraus route.
+
+    All three vanish up to round-off.  Takes one (T1, T2, P), giving floats,
+    or stacks of them along leading axes, giving arrays.  The map entropies
+    get the CP, TP and range checks of :func:`map_entropy`.  Choi matrices
+    are built ``EMBED_CHUNK`` members at a time; the exchange entropy is
+    taken member by member.
+    """
+    t1 = classical.validate_stochastic(t1)
+    t2 = classical.validate_stochastic(t2)
+    p = classical.validate_prob_vector(p)
+    if t1.shape != t2.shape or t1.shape[:-1] != p.shape:
+        raise DimensionError(f"shapes {t1.shape}, {t2.shape} and {p.shape} do not match")
+    lead, n = t1.shape[:-2], t1.shape[-1]
+    t1, t2, p = t1.reshape(-1, n, n), t2.reshape(-1, n, n), p.reshape(-1, n)
+    spectra = np.empty((len(t1), n * n))
+    composed = np.empty_like(t1)
+    s_ex = np.empty(len(t1))
+    for lo in range(0, len(t1), EMBED_CHUNK):
+        part = slice(lo, lo + EMBED_CHUNK)
+        d1, d2 = _diag_choi(t1[part]), _diag_choi(t2[part])
+        for i, (d, q) in enumerate(zip(d1, p[part]), lo):
+            ch = Channel(d)
+            # to_kraus raises unless the channel is CP, which it checks on the
+            # spectrum of D/N, as map_entropy does; the map entropy reads it.
+            s_ex[i] = entropy_exchange(ch, np.diag(q).astype(complex))
+            spectra[i] = ch.jam_spectrum
+        if not np.all(_tp_defect(d1) <= FLAG_TOL):
+            raise TraceError("channel is not trace preserving")
+        composed[part] = _choi_diagonal(odot_raw(d2, d1))
+    s_map = _map_entropy_in_range(spectrum_entropy(spectra), n)
+    identity = s_map - classical.entropy_uniform(t1) - math.log(n)
+    composed = classical.validate_stochastic(composed, tol=1e-8)
+    covariance = np.abs(composed - t2 @ t1).max(axis=(-2, -1))
+    exchange = s_ex - classical.entropy_weighted(t1, p) - classical.shannon_entropy(p)
+    return EmbeddingDefects(*(_float_or_stack(x.reshape(lead)) for x in (identity, covariance, exchange)))
 
 
 __all__ = [
@@ -395,5 +476,7 @@ __all__ = [
     "unitary_channel",
     "stochastic_from_channel",
     "diag_channel_from_stochastic",
+    "EmbeddingDefects",
+    "embedding_defects",
     "max_entangled_projector",
 ]

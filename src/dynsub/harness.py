@@ -11,18 +11,24 @@ Because any sample is a pure function of (seed, index), the worst case of
 a suite can be replayed exactly from the report.
 
 A sample runs in two phases.  A suite's sample function makes every draw
-from its stream, in a fixed order, and returns the Sinkhorn starts it drew
-(Wishart Choi matrices, or positive matrices in ``classical``) with a
-function that maps their scaled draws to the sample's checks.
-:func:`evaluate_samples` draws every sample of a batch (:func:`run_suite`
-passes up to ``BATCH`` indices at a time), scales all the batch's starts
-in one stacked call (:func:`operator_sinkhorn`, or :func:`matrix_sinkhorn`
-in ``classical``) and then finishes the samples in index order.  Suites
-without a Sinkhorn draw make their draws in the second phase, so a batch
-holds none of them.  A Sinkhorn draw's result does not depend on its
-stack, so replay, :func:`evaluate_sample`, runs the same code on a batch
-of one and reproduces every bit of the batched run.  Evaluation is serial
-and ignores the ``DYNSUB_THREADS`` environment variable.
+of a batch's samples, each from its own stream in a fixed order, and
+returns the Sinkhorn starts they drew (Wishart Choi matrices, or positive
+matrices in ``classical``) with a function that maps their scaled draws to
+the samples' checks.  :func:`evaluate_samples` draws a batch
+(:func:`run_suite` passes up to ``BATCH`` indices at a time), scales all
+the batch's starts in one stacked call (:func:`operator_sinkhorn`, or
+:func:`matrix_sinkhorn` in ``classical``) and hands the draws back to the
+suite.  ``classical`` then evaluates its checks on stacks: each library
+kernel runs once on the batch's ``(B, N, N)`` matrices and ``(B, N)``
+vectors, except the exchange entropy, which the Kraus route takes sample
+by sample.  The other suites finish sample by sample, in index order,
+through ``_each``.  Suites without a Sinkhorn draw make their draws in the
+second phase, so a batch holds none of them.  A Sinkhorn draw's result
+does not depend on its stack, and a stacked kernel gives each member the
+bits of its own call, so replay, :func:`evaluate_sample`, runs the same
+code on a batch of one and reproduces every bit of the batched run.
+Evaluation is serial and ignores the ``DYNSUB_THREADS`` environment
+variable.
 """
 
 from __future__ import annotations
@@ -38,14 +44,13 @@ from . import quasifree as qf
 from .channels import (
     Channel,
     coherent_information,
-    diag_channel_from_stochastic,
+    embedding_defects,
     entropy_exchange,
     jam_state,
     lindblad_bounds,
     map_entropy,
     purified_exchange_entropy,
     sigma_hat,
-    stochastic_from_channel,
 )
 from .errors import DomainError
 from .matcore import max_entangled_projector, partial_trace, von_neumann_entropy
@@ -178,12 +183,43 @@ def _eq(name: str, deviation: float) -> Check:
     return Check(name, -abs(float(deviation)), TOLERANCES[name])
 
 
-# -- per-sample check evaluation ---------------------------------------------
+def _ineqs(name: str, slacks: np.ndarray, tol: float) -> list[Check]:
+    """``_ineq`` for each sample of a batch."""
+    return [_ineq(name, slack, tol) for slack in slacks.tolist()]
+
+
+def _eqs(name: str, deviations: np.ndarray) -> list[Check]:
+    """``_eq`` for each sample of a batch."""
+    return [_eq(name, deviation) for deviation in deviations.tolist()]
+
+
+# -- check evaluation ----------------------------------------------------------
 #
-# A sample function ``(dim, g, tol)`` makes its draws from ``g``, the numpy
-# random generator of the sample's stream, and returns ``(starts, finish)``:
-# the Sinkhorn starts it drew, in draw order, and a function that maps their
-# scaled draws, in the same order, to its checks.
+# A suite's sample function ``(dim, gens, tol)`` takes the numpy random
+# generators of a batch's streams, one per sample, makes each sample's draws
+# from its own generator and returns ``(starts, finish)``: the Sinkhorn starts
+# of the batch, sample by sample and each sample's in draw order, and a
+# function that maps their scaled draws, in the same order, to each sample's
+# list of checks.  ``classical`` evaluates its batch as stacks; the other
+# suites finish sample by sample through ``_each``.
+
+
+def _each(sample):
+    """A suite's sample function from a one-sample one, ``(dim, g, tol) -> (starts, finish)``.
+
+    ``finish`` maps the scaled draws of the sample's own starts to its checks.
+    """
+
+    def batch(dim: int, gens, tol: float):
+        drawn = [sample(dim, g, tol) for g in gens]
+
+        def finish(draws):
+            rest = iter(draws)
+            return [done([next(rest) for _ in starts]) for starts, done in drawn]
+
+        return [start for starts, _ in drawn for start in starts], finish
+
+    return batch
 
 
 def _sample_dynsub_bistochastic(dim: int, g, tol: float):
@@ -276,10 +312,7 @@ def _sample_lindblad(dim: int, g, tol: float):
         checks = [
             _ineq("lindblad.lower", lb.actual - lb.lower, tol),
             _ineq("lindblad.upper", lb.upper - lb.actual, tol),
-            _eq(
-                "exchange.purification",
-                entropy_exchange(ch, rho) - purified_exchange_entropy(ch, rho),
-            ),
+            _eq("exchange.purification", lb.exchange - purified_exchange_entropy(ch, rho)),
         ]
         rho_star = np.eye(dim, dtype=complex) / dim
         spec_sigma = np.sort(np.linalg.eigvalsh(sigma_hat(ch, rho_star)))
@@ -304,50 +337,38 @@ def _sample_data_processing(dim: int, g, tol: float):
     return [], finish
 
 
-def _sample_classical(dim: int, g, tol: float):
-    t1 = random_stochastic(dim, g)
-    t2 = random_stochastic(dim, g)
-    p = g.dirichlet(np.ones(dim))
-    starts = [positive_matrix(dim, g) for _ in range(3)]
+def _sample_classical(dim: int, gens, tol: float):
+    t1, t2, p, starts = [], [], [], []
+    for g in gens:
+        t1.append(random_stochastic(dim, g))
+        t2.append(random_stochastic(dim, g))
+        p.append(g.dirichlet(np.ones(dim)))
+        starts += [positive_matrix(dim, g) for _ in range(3)]
 
     def finish(draws):
+        t1s, t2s, ps = np.stack(t1), np.stack(t2), np.stack(p)
         tol_thm = THEOREM_TOL if tol == INEQ_TOL else tol
-        pb = cl.product_bounds(t2, t1)
-        checks = [
-            _ineq("product.lower", pb.actual - pb.lower, tol_thm),
-            _ineq("product.upper", pb.upper - pb.actual, tol_thm),
-            _ineq("product.upper_weak", pb.upper_weak - pb.actual, tol_thm),
+        pb = cl.product_bounds(t2s, t1s)
+        sb = cl.slomczynski_bounds(t1s, ps)
+        bs = cl.bistochastic_slacks(draws[0::3], draws[1::3], draws[2::3])
+        em = embedding_defects(t1s, t2s, ps)
+        columns = [
+            _ineqs("product.lower", pb.actual - pb.lower, tol_thm),
+            _ineqs("product.upper", pb.upper - pb.actual, tol_thm),
+            _ineqs("product.upper_weak", pb.upper_weak - pb.actual, tol_thm),
+            _ineqs("transform.lower", sb.actual - sb.lower, tol_thm),
+            _ineqs("transform.upper", sb.upper - sb.actual, tol_thm),
+            _ineqs("transform.upper_weak", sb.upper_weak - sb.actual, tol_thm),
+            _ineqs("bistochastic.subadditivity", bs.subadditivity, tol),
+            _ineqs("bistochastic.symmetric", bs.symmetric, tol),
+            _ineqs("bistochastic.strong", bs.strong, tol),
+            _eqs("bistochastic.delta1_vanishes", bs.delta1),
+            _eqs("bistochastic.delta2_vanishes", bs.delta2),
+            _eqs("embedding.entropy_identity", em.entropy_identity),
+            _eqs("embedding.composition_covariance", em.composition_covariance),
+            _eqs("exchange.classical_identity", em.exchange_identity),
         ]
-
-        sb = cl.slomczynski_bounds(t1, p)
-        checks.append(_ineq("transform.lower", sb.actual - sb.lower, tol_thm))
-        checks.append(_ineq("transform.upper", sb.upper - sb.actual, tol_thm))
-        checks.append(_ineq("transform.upper_weak", sb.upper_weak - sb.actual, tol_thm))
-
-        b1, b2, b3 = draws
-        bs = cl.bistochastic_slacks(b1, b2, b3)
-        checks.append(_ineq("bistochastic.subadditivity", bs.subadditivity, tol))
-        checks.append(_ineq("bistochastic.symmetric", bs.symmetric, tol))
-        checks.append(_ineq("bistochastic.strong", bs.strong, tol))
-        pbb = cl.product_bounds(b2, b1)
-        checks.append(_eq("bistochastic.delta1_vanishes", pbb.delta1))
-        checks.append(_eq("bistochastic.delta2_vanishes", pbb.delta2))
-
-        dch = diag_channel_from_stochastic(t1)
-        identity = map_entropy(dch) - cl.entropy_uniform(t1) - math.log(dim)
-        checks.append(_eq("embedding.entropy_identity", identity))
-        dch2 = diag_channel_from_stochastic(t2)
-        covariance = np.abs(stochastic_from_channel(dch2.compose(dch)) - t2 @ t1).max()
-        checks.append(_eq("embedding.composition_covariance", covariance))
-
-        s_class = entropy_exchange(dch, np.diag(p).astype(complex))
-        checks.append(
-            _eq(
-                "exchange.classical_identity",
-                s_class - cl.entropy_weighted(t1, p) - cl.shannon_entropy(p),
-            )
-        )
-        return checks
+        return [list(checks) for checks in zip(*columns)]
 
     return starts, finish
 
@@ -460,15 +481,15 @@ def _sample_power_subadd(dim: int, g, tol: float):
 
 
 SUITES = {
-    "dynsub_bistochastic": (_sample_dynsub_bistochastic, (2, 3), 1000),
-    "strong_dynsub": (_sample_strong_dynsub, (2, 3), 500),
-    "dynsub_general": (_sample_dynsub_general, (2, 3), 1000),
-    "lindblad": (_sample_lindblad, (2, 3), 500),
-    "data_processing": (_sample_data_processing, (2, 3), 500),
+    "dynsub_bistochastic": (_each(_sample_dynsub_bistochastic), (2, 3), 1000),
+    "strong_dynsub": (_each(_sample_strong_dynsub), (2, 3), 500),
+    "dynsub_general": (_each(_sample_dynsub_general), (2, 3), 1000),
+    "lindblad": (_each(_sample_lindblad), (2, 3), 500),
+    "data_processing": (_each(_sample_data_processing), (2, 3), 500),
     "classical": (_sample_classical, (2, 3, 4, 5, 6), 1000),
-    "statecomp_algebra": (_sample_statecomp, (2, 3), 500),
-    "quasifree": (_sample_quasifree, (4, 64), 1000),
-    "power_subadd": (_sample_power_subadd, (2, 3), 100),
+    "statecomp_algebra": (_each(_sample_statecomp), (2, 3), 500),
+    "quasifree": (_each(_sample_quasifree), (4, 64), 1000),
+    "power_subadd": (_each(_sample_power_subadd), (2, 3), 100),
 }
 
 # Suites whose checks cannot hold at small dims: 1x1 operators commute, so
@@ -482,15 +503,13 @@ def evaluate_samples(
     """Evaluate the checks of the samples ``indices``, in their order.
 
     Each sample draws from its own ``RngStream(seed, index)``; one Sinkhorn
-    call then scales the starts of the whole batch, and each sample is
-    finished on its share of the draws.
+    call then scales the starts of the whole batch, and the suite finishes
+    the batch on the draws.
     """
     sample = SUITES[suite][0]
-    drawn = [sample(dim, RngStream(seed, index).generator(), tol) for index in indices]
-    starts = [start for sample_starts, _ in drawn for start in sample_starts]
+    starts, finish = sample(dim, [RngStream(seed, index).generator() for index in indices], tol)
     scale = matrix_sinkhorn if suite == "classical" else operator_sinkhorn
-    draws = iter(scale(np.stack(starts)) if starts else ())
-    return [finish([next(draws) for _ in sample_starts]) for sample_starts, finish in drawn]
+    return finish(scale(np.stack(starts)) if starts else [])
 
 
 def evaluate_sample(suite: str, dim: int, seed: int, index: int, tol: float = INEQ_TOL) -> list[Check]:

@@ -6,7 +6,11 @@ Conventions used throughout the package:
   ``rho[m, mu]`` sits at vector position ``m*N + mu``;
 * a matrix on a bipartite space carries composite indices
   ``(first*N + second)``;
-* all entropies are in nats (natural logarithm).
+* all entropies are in nats (natural logarithm);
+* the kernels that say so take a stack of matrices or vectors along
+  leading axes and return one result per member; called on one matrix or
+  vector, they return what they return for it alone, Python floats
+  included, and a member of a stack gets exactly the bits of its own call.
 """
 
 from __future__ import annotations
@@ -28,56 +32,60 @@ HERMIT_TOL = 1e-10
 _TINY = np.nextafter(0.0, 1.0)  # the smallest positive double
 
 
-def _as_square(x: np.ndarray) -> np.ndarray:
+def _as_square(x: np.ndarray, stack: bool = False) -> np.ndarray:
+    """``x`` as an array; a square matrix, or with ``stack`` a stack of them."""
     x = np.asarray(x)
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {x.shape}")
+    if not (x.ndim == 2 or (stack and x.ndim > 2)) or x.shape[-1] != x.shape[-2]:
+        what = "a square matrix or a stack of them" if stack else "a square matrix"
+        raise DimensionError(f"expected {what}, got shape {x.shape}")
     return x
 
 
-def _square_side(x: np.ndarray) -> int:
-    """Side length N of a matrix of dimension N**2."""
-    d = _as_square(x).shape[0]
+def _square_side(x: np.ndarray, stack: bool = False) -> int:
+    """Side length N of a matrix of dimension N**2, or of each matrix of a stack."""
+    d = _as_square(x, stack).shape[-1]
     n = math.isqrt(d)
     if n * n != d:
         raise DimensionError(f"dimension {d} is not a perfect square")
     return n
 
 
+def _float_or_stack(x: np.ndarray):
+    """A 0-d result as a Python float; a stack's results as they are."""
+    return float(x) if x.ndim == 0 else x
+
+
 def reshuffle(x: np.ndarray) -> np.ndarray:
-    """Reorder the entries of a matrix of dimension N**2.
+    """Reorder the entries of a matrix of dimension N**2, or of each matrix of a stack.
 
     With composite indices, ``out[(m,n),(mu,nu)] = x[(m,mu),(n,nu)]``.
     The operation is an exact involution and exchanges the superoperator
     and Choi forms of a quantum map.
     """
-    n = _square_side(x)
-    d = n * n
-    return np.ascontiguousarray(
-        x.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(d, d)
-    )
+    n = _square_side(x, stack=True)
+    return np.ascontiguousarray(x.reshape(x.shape[:-2] + (n, n, n, n)).swapaxes(-3, -2).reshape(x.shape))
 
 
 def partial_trace(x: np.ndarray, side: str, dims: tuple[int, int] | None = None) -> np.ndarray:
-    """Trace out one factor of a bipartite matrix.
+    """Trace out one factor of a bipartite matrix, or of each matrix of a stack.
 
     ``side`` is ``"A"`` (first factor) or ``"B"`` (second factor).  By
     default the matrix dimension must be a perfect square N**2 and both
     factors have dimension N; unequal factor dimensions may be passed
     explicitly via ``dims=(dim_a, dim_b)``.
     """
-    x = _as_square(x)
+    x = _as_square(x, stack=True)
     if dims is None:
-        n = _square_side(x)
+        n = _square_side(x, stack=True)
         dims = (n, n)
     da, db = dims
-    if da * db != x.shape[0]:
-        raise DimensionError(f"dims {dims} do not factor dimension {x.shape[0]}")
-    xr = x.reshape(da, db, da, db)
+    if da * db != x.shape[-1]:
+        raise DimensionError(f"dims {dims} do not factor dimension {x.shape[-1]}")
+    xr = x.reshape(x.shape[:-2] + (da, db, da, db))
     if side == "A":
-        return np.einsum("ijik->jk", xr)
+        return np.einsum("...ijik->...jk", xr)
     if side == "B":
-        return np.einsum("ijkj->ik", xr)
+        return np.einsum("...ijkj->...ik", xr)
     raise ValueError(f"side must be 'A' or 'B', got {side!r}")
 
 
@@ -104,24 +112,34 @@ def hermitian_part(x: np.ndarray) -> np.ndarray:
     return (x + x.conj().swapaxes(-1, -2)) / 2
 
 
-def hermiticity_defect(x: np.ndarray) -> float:
-    """Max-norm distance from the Hermitian part, relative to max(1, |x|_max)."""
-    x = _as_square(x)
-    scale = max(1.0, float(np.abs(x).max()) if x.size else 1.0)
-    return float(np.abs(x - x.conj().T).max()) / scale
+def hermiticity_defect(x: np.ndarray):
+    """Max-norm distance from the Hermitian part, relative to max(1, |x|_max).
+
+    Takes a matrix or a stack of them; a float for one, an array for a stack.
+    """
+    x = _as_square(x, stack=True)
+    if x.ndim == 2:  # Python-float arithmetic: the channel suites make thousands of these calls
+        scale = max(1.0, float(np.abs(x).max()) if x.size else 1.0)
+        return float(np.abs(x - x.conj().T).max()) / scale
+    scale = np.maximum(np.abs(x).max(axis=(-2, -1)), 1.0)
+    return np.abs(x - x.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) / scale
 
 
 def _checked_hermitian_part(x: np.ndarray, hermit_tol: float, what: str) -> np.ndarray:
-    x = _as_square(x)
-    if hermiticity_defect(x) > hermit_tol:
-        raise HermiticityError(f"{what} deviates from Hermiticity by {hermiticity_defect(x):.3e}")
+    x = _as_square(x, stack=True)
+    defect = hermiticity_defect(x)
+    if x.ndim > 2:
+        defect = defect.max(initial=0.0)
+    if defect > hermit_tol:
+        raise HermiticityError(f"{what} deviates from Hermiticity by {defect:.3e}")
     return hermitian_part(x)
 
 
 def hermitian_eigvals(x: np.ndarray, hermit_tol: float, what: str = "matrix") -> np.ndarray:
     """Ascending eigenvalues of the Hermitian part of ``x``; the package's spectral kernel.
 
-    Raises :class:`HermiticityError` if ``hermiticity_defect(x) > hermit_tol``.
+    Takes a matrix or a stack of them.  Raises :class:`HermiticityError` if
+    ``hermiticity_defect`` exceeds ``hermit_tol`` for any of them.
     """
     return np.linalg.eigvalsh(_checked_hermitian_part(x, hermit_tol, what))
 
@@ -130,13 +148,16 @@ def eig_hermitian(x: np.ndarray, hermit_tol: float = HERMIT_TOL):
     """Eigendecomposition of a Hermitian matrix, checked as in :func:`hermitian_eigvals`.
 
     Returns ``(values, vectors)`` with values ascending and eigenvectors in
-    the columns of ``vectors``.
+    the columns of ``vectors``; a stack gets a stack of each.
     """
     return np.linalg.eigh(_checked_hermitian_part(x, hermit_tol, "matrix"))
 
 
 def check_spectrum(vals: np.ndarray, tol: float, upper=None, error=PositivityError, what="matrix"):
-    """Return ``vals``; raise ``error`` if one lies below ``-tol`` or above ``upper + tol``."""
+    """Return ``vals``; raise ``error`` if one lies below ``-tol`` or above ``upper + tol``.
+
+    ``vals`` may hold the spectra of a stack; every value is checked.
+    """
     if vals.min() < -tol:
         raise error(f"{what} eigenvalue {vals.min():.3e} below 0")
     if upper is not None and vals.max() > upper + tol:
@@ -205,28 +226,39 @@ def validate_density_matrix(x: np.ndarray, tol: float = CLAMP_TOL) -> np.ndarray
     return x
 
 
-def spectrum_entropy(vals: np.ndarray, tol: float = CLAMP_TOL) -> float:
+def spectrum_entropy(vals: np.ndarray, tol: float = CLAMP_TOL):
     """Von Neumann entropy, in nats, of a density matrix given by its eigenvalues.
 
-    Eigenvalues in ``[-tol, 0]`` are clamped to zero; an eigenvalue below
-    ``-tol`` raises :class:`PositivityError`.
+    ``vals`` is one spectrum, giving a float, or a stack of them along
+    leading axes, giving an array.  Eigenvalues in ``[-tol, 0]`` are clamped
+    to zero; an eigenvalue below ``-tol`` raises :class:`PositivityError`.
     """
     check_spectrum(vals, tol, what="density matrix")
-    return float(np.sum(eta(vals, math.inf)))
+    return _float_or_stack(np.sum(eta(vals, math.inf), axis=-1))
 
 
-def von_neumann_entropy(rho: np.ndarray, tol: float = CLAMP_TOL) -> float:
-    """Von Neumann entropy -tr(rho ln rho), in nats; Hermiticity tolerance max(tol, 1e-10)."""
+def von_neumann_entropy(rho: np.ndarray, tol: float = CLAMP_TOL):
+    """Von Neumann entropy -tr(rho ln rho), in nats; Hermiticity tolerance max(tol, 1e-10).
+
+    Takes a matrix, giving a float, or a stack of them, giving an array.
+    """
     return spectrum_entropy(hermitian_eigvals(rho, max(tol, HERMIT_TOL), "entropy argument"), tol)
 
 
-def shannon_entropy(p: np.ndarray, tol: float = 1e-10) -> float:
-    """Shannon entropy of a probability vector, in nats."""
-    p = np.asarray(p, dtype=float).reshape(-1)
+def shannon_entropy(p: np.ndarray, tol: float = 1e-10):
+    """Shannon entropy of a probability vector, in nats.
+
+    ``p`` is one vector, giving a float, or a stack of them along leading
+    axes, giving an array; a scalar counts as a vector of one entry.
+    """
+    p = np.asarray(p, dtype=float)
+    if p.ndim == 0:
+        p = p.reshape(1)
     if p.size == 0:
         raise DimensionError("empty probability vector")
     if p.min() < -tol:
         raise DomainError(f"negative probability {p.min():.3e}")
-    if abs(p.sum() - 1.0) > max(tol, 1e-10):
-        raise TraceError(f"probabilities sum to {p.sum()}")
-    return float(np.sum(eta(p, math.inf)))
+    total = p.sum(axis=-1)
+    if np.abs(total - 1.0).max() > max(tol, 1e-10):
+        raise TraceError(f"probabilities sum to {total}")
+    return _float_or_stack(np.sum(eta(p, math.inf), axis=-1))

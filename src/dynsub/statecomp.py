@@ -30,7 +30,7 @@ class StateClass(enum.Enum):
 
 
 def odot_raw(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Reshuffled product of two matrices of dimension N**2."""
+    """Reshuffled product of two matrices of dimension N**2, or of two stacks of them, member by member."""
     x, y = np.asarray(x), np.asarray(y)
     if x.shape != y.shape:
         raise DimensionError(f"operand shapes differ: {x.shape} vs {y.shape}")

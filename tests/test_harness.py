@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from dynsub import harness
+from dynsub import channels, classical, harness, matcore
 from dynsub.errors import DomainError
 from dynsub.harness import SUITES, evaluate_sample, evaluate_samples, run_all, run_suite
 
@@ -36,17 +36,56 @@ def test_worst_case_replay_matches():
     assert match and match[0].slack == report.worst_violation
 
 
-@pytest.mark.parametrize("suite", sorted(SUITES))
-def test_batch_slacks_equal_replay(suite, monkeypatch):
-    batch = evaluate_samples(suite, 2, 17, range(8))
-    singles = [evaluate_sample(suite, 2, 17, i) for i in range(8)]
+@pytest.mark.parametrize(
+    "suite, dim",
+    [pytest.param(suite, 2, id=suite) for suite in sorted(SUITES)]
+    + [pytest.param("classical", 1, id="classical-dim1")],
+)
+def test_batch_slacks_equal_replay(suite, dim, monkeypatch):
+    # With 3-sample Choi chunks the classical batch of 8 crosses two chunk boundaries.
+    monkeypatch.setattr(channels, "EMBED_CHUNK", 3)
+    batch = evaluate_samples(suite, dim, 17, range(8))
+    singles = [evaluate_sample(suite, dim, 17, i) for i in range(8)]
     assert batch == singles  # every slack bitwise equal, sample by sample
     expected = {}
     for checks in singles:
         for c in checks:
             expected[c.name] = min(c.slack, expected.get(c.name, c.slack))
     monkeypatch.setattr(harness, "BATCH", 3)  # run_suite splits the 8 samples into 3 batches
-    assert run_suite(suite, 2, samples=8, seed=17).checks == expected
+    assert run_suite(suite, dim, samples=8, seed=17).checks == expected
+
+
+def _count_calls(monkeypatch, modules, name):
+    calls = []
+    for module in modules:
+        original = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *a, f=original, **k: calls.append(None) or f(*a, **k)
+        )
+    return calls
+
+
+def test_classical_eta_calls_do_not_grow_with_the_batch(monkeypatch):
+    # Only the exchange entropy, taken per sample on the Kraus route, adds one
+    # eta call per sample; the stacked kernels make the same calls for any B.
+    eta = _count_calls(monkeypatch, [matcore, classical], "eta")
+    exchange = _count_calls(monkeypatch, [channels], "entropy_exchange")
+    stacked = {}
+    for size in (8, 64):
+        eta.clear()
+        exchange.clear()
+        evaluate_samples("classical", 3, 5, range(size))
+        assert len(exchange) == size
+        stacked[size] = len(eta) - len(exchange)
+    assert stacked[8] == stacked[64] < 26  # 26 eta calls per sample before stacking
+
+
+def test_lindblad_sample_builds_two_sigma_hats(monkeypatch):
+    # lindblad_bounds carries S(sigma_hat) for exchange.purification; the
+    # other sigma_hat is the tracial-spectrum check's
+    calls = _count_calls(monkeypatch, [channels, harness], "sigma_hat")
+    evaluate_sample("lindblad", 2, 42, 0)
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize(

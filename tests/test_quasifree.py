@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from dynsub.errors import (
 from dynsub.matcore import von_neumann_entropy
 from dynsub.quasifree import (
     QFMap,
+    _compound,
     fock_density,
     qf_apply,
     qf_bistochastic,
@@ -322,3 +325,17 @@ def test_fock_density_refuses_singular_non_projector():
     q = np.diag([1.0, 0.5])
     with pytest.raises(SingularSymbolError):
         fock_density(q)
+
+
+def test_compound_is_bitwise_the_minor_by_minor_determinants():
+    g = np.random.default_rng(31)
+    for index in range(200):
+        n = 1 + index % 4
+        m = random_symbol(n, g)
+        for k in range(n + 1):
+            subs = list(combinations(range(n), k))
+            loop = np.ones((1, 1), dtype=complex) if k == 0 else np.array(
+                [[np.linalg.det(m[np.ix_(rows, cols)]) for cols in subs] for rows in subs]
+            )
+            out = _compound(m, k)
+            assert out.shape == loop.shape and out.tobytes() == loop.tobytes(), (n, k)

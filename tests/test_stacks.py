@@ -1,0 +1,246 @@
+"""Stack-polymorphic kernels: a stack gives each member the bits of its own call.
+
+Each kernel is called on stacks of 1, 7 and 256 members at N = 1..6 and
+compared, bit for bit, with its calls on the members one at a time, which
+return Python floats where a stack returns arrays.  A validator given a
+stack with exactly one bad member raises what it raises for that member.
+"""
+
+import numpy as np
+import pytest
+
+from dynsub import channels, classical, matcore, statecomp
+from dynsub.errors import (
+    BistochasticityError,
+    DomainError,
+    HermiticityError,
+    StochasticityError,
+    TraceError,
+)
+from dynsub.randgen import random_bistochastic_matrix, random_density, random_stochastic
+
+SIZES = (1, 7, 256)
+DIMS = (1, 2, 3, 4, 5, 6)
+
+
+def bits(x):
+    """The raw bytes of a float or an array of floats or complex numbers."""
+    return np.asarray(x).tobytes()
+
+
+def assert_members(stacked, singles):
+    """``stacked`` holds, bit for bit, the per-member results ``singles``."""
+    for single in singles:
+        assert isinstance(single, float), type(single)
+    assert stacked.shape == (len(singles),)
+    assert bits(stacked) == bits(np.array(singles))
+
+
+def assert_member_arrays(stacked, singles):
+    assert bits(stacked) == bits(np.stack(singles))
+
+
+def densities(size, n, seed):
+    g = np.random.default_rng(seed)
+    return np.stack([random_density(n, g) for _ in range(size)])
+
+
+def general(size, d, seed):
+    g = np.random.default_rng(seed)
+    return g.normal(size=(size, d, d)) + 1j * g.normal(size=(size, d, d))
+
+
+def stochastic(size, n, seed):
+    g = np.random.default_rng(seed)
+    return np.stack([random_stochastic(n, g) for _ in range(size)])
+
+
+def bistochastic(size, n, seed):
+    g = np.random.default_rng(seed)
+    return np.stack([random_bistochastic_matrix(n, g) for _ in range(size)])
+
+
+def prob_vectors(size, n, seed):
+    return np.random.default_rng(seed).dirichlet(np.ones(n), size=size)
+
+
+# -- matcore and statecomp ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("size", SIZES)
+@pytest.mark.parametrize("n", DIMS)
+def test_entropy_kernels_are_stack_polymorphic(n, size):
+    rho = densities(size, n, 10 * n + size)
+    assert_members(matcore.hermiticity_defect(rho), [matcore.hermiticity_defect(r) for r in rho])
+    vals = matcore.hermitian_eigvals(rho, 1e-9)
+    assert_member_arrays(vals, [matcore.hermitian_eigvals(r, 1e-9) for r in rho])
+    w, v = matcore.eig_hermitian(rho, 1e-9)
+    singles = [matcore.eig_hermitian(r, 1e-9) for r in rho]
+    assert_member_arrays(w, [s[0] for s in singles])
+    assert_member_arrays(v, [s[1] for s in singles])
+    assert_members(matcore.spectrum_entropy(vals), [matcore.spectrum_entropy(x) for x in vals])
+    assert_members(matcore.von_neumann_entropy(rho), [matcore.von_neumann_entropy(r) for r in rho])
+    p = prob_vectors(size, n, n + size)
+    assert_members(matcore.shannon_entropy(p), [matcore.shannon_entropy(q) for q in p])
+
+
+@pytest.mark.parametrize("size", SIZES)
+@pytest.mark.parametrize("n", DIMS)
+def test_composition_kernels_are_stack_polymorphic(n, size):
+    x, y = general(size, n * n, n + size), general(size, n * n, 100 + n + size)
+    assert_member_arrays(matcore.reshuffle(x), [matcore.reshuffle(a) for a in x])
+    for side in ("A", "B"):
+        assert_member_arrays(matcore.partial_trace(x, side), [matcore.partial_trace(a, side) for a in x])
+    assert_member_arrays(statecomp.odot_raw(x, y), [statecomp.odot_raw(a, b) for a, b in zip(x, y)])
+
+
+def test_hermiticity_check_sees_one_bad_member():
+    rho = densities(7, 3, 0)
+    rho[4, 0, 1] += 1e-6
+    with pytest.raises(HermiticityError):
+        matcore.hermitian_eigvals(rho[4], 1e-9)
+    with pytest.raises(HermiticityError):
+        matcore.hermitian_eigvals(rho, 1e-9)
+
+
+# -- classical -----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("size", SIZES)
+@pytest.mark.parametrize("n", DIMS)
+def test_classical_entropies_are_stack_polymorphic(n, size):
+    t1, t2 = stochastic(size, n, n + size), stochastic(size, n, 50 + n + size)
+    p = prob_vectors(size, n, 90 + n + size)
+    assert_member_arrays(classical.validate_stochastic(t1), list(t1))
+    assert_member_arrays(classical.validate_prob_vector(p), list(p))
+    assert_members(classical.entropy_uniform(t1), [classical.entropy_uniform(t) for t in t1])
+    assert_members(
+        classical.entropy_weighted(t1, p), [classical.entropy_weighted(t, q) for t, q in zip(t1, p)]
+    )
+    stacked = classical.product_bounds(t2, t1)
+    singles = [classical.product_bounds(b, a) for a, b in zip(t1, t2)]
+    for field in classical.ProductBounds._fields:
+        assert_members(getattr(stacked, field), [getattr(s, field) for s in singles])
+    stacked = classical.slomczynski_bounds(t1, p)
+    singles = [classical.slomczynski_bounds(t, q) for t, q in zip(t1, p)]
+    for field in classical.TransformBounds._fields:
+        assert_members(getattr(stacked, field), [getattr(s, field) for s in singles])
+
+
+@pytest.mark.parametrize("size", SIZES)
+@pytest.mark.parametrize("n", DIMS)
+def test_bistochastic_slacks_are_stack_polymorphic(n, size):
+    b1, b2, b3 = (bistochastic(size, n, k * 1000 + n + size) for k in range(3))
+    stacked = classical.bistochastic_slacks(b1, b2, b3)
+    singles = [classical.bistochastic_slacks(*mats) for mats in zip(b1, b2, b3)]
+    for field in classical.BistochasticSlacks._fields:
+        assert_members(getattr(stacked, field), [getattr(s, field) for s in singles])
+    assert list(classical.is_bistochastic(b1)) == [classical.is_bistochastic(b) for b in b1]
+
+
+@pytest.mark.parametrize("size", SIZES)
+@pytest.mark.parametrize("n", DIMS)
+def test_embedding_defects_are_stack_polymorphic(n, size):
+    t1, t2 = stochastic(size, n, 7 * n + size), stochastic(size, n, 70 + n + size)
+    p = prob_vectors(size, n, 700 + n + size)
+    stacked = channels.embedding_defects(t1, t2, p)
+    singles = [channels.embedding_defects(*args) for args in zip(t1, t2, p)]
+    for field in channels.EmbeddingDefects._fields:
+        assert_members(getattr(stacked, field), [getattr(s, field) for s in singles])
+
+
+def test_embedding_defects_are_the_per_channel_expressions():
+    t1, t2 = stochastic(9, 3, 1), stochastic(9, 3, 2)
+    p = prob_vectors(9, 3, 3)
+    d = channels.embedding_defects(t1, t2, p)
+    for i in range(9):
+        ch1 = channels.diag_channel_from_stochastic(t1[i])
+        ch2 = channels.diag_channel_from_stochastic(t2[i])
+        identity = channels.map_entropy(ch1) - classical.entropy_uniform(t1[i]) - np.log(3)
+        covariance = np.abs(channels.stochastic_from_channel(ch2.compose(ch1)) - t2[i] @ t1[i]).max()
+        s_ex = channels.entropy_exchange(ch1, np.diag(p[i]).astype(complex))
+        exchange = s_ex - classical.entropy_weighted(t1[i], p[i]) - matcore.shannon_entropy(p[i])
+        assert d.entropy_identity[i] == identity
+        assert d.composition_covariance[i] == covariance
+        assert d.exchange_identity[i] == exchange
+
+
+# -- one bad member ------------------------------------------------------------------
+
+
+def negative_entry(t):
+    t = t.copy()
+    shift = t[0, 0] + 1e-3  # moved to the row below, so the column still sums to 1
+    t[0, 0] -= shift
+    t[1, 0] += shift
+    return t
+
+
+def column_sum_off(t):
+    t = t.copy()
+    t[0, 0] += 1e-9
+    return t
+
+
+def with_bad_member(stack, index, bad):
+    stack = stack.copy()
+    stack[index] = bad
+    return stack
+
+
+STOCHASTIC_CONSUMERS = {
+    "validate_stochastic": lambda t, t2, p: classical.validate_stochastic(t),
+    "entropy_uniform": lambda t, t2, p: classical.entropy_uniform(t),
+    "entropy_weighted": lambda t, t2, p: classical.entropy_weighted(t, p),
+    "slomczynski_bounds": lambda t, t2, p: classical.slomczynski_bounds(t, p),
+    "product_bounds": lambda t, t2, p: classical.product_bounds(t2, t),
+    "embedding_defects": lambda t, t2, p: channels.embedding_defects(t, t2, p),
+}
+
+
+@pytest.mark.parametrize(
+    "defect, message", [(negative_entry, "negative entry"), (column_sum_off, "column sums")]
+)
+@pytest.mark.parametrize("name", sorted(STOCHASTIC_CONSUMERS))
+def test_one_bad_stochastic_member_raises(name, defect, message):
+    f = STOCHASTIC_CONSUMERS[name]
+    t, t2, p = stochastic(7, 3, 5), stochastic(7, 3, 6), prob_vectors(7, 3, 7)
+    bad = defect(t[3])
+    with pytest.raises(StochasticityError, match=message):
+        f(bad, t2[3], p[3])
+    with pytest.raises(StochasticityError, match=message):
+        f(with_bad_member(t, 3, bad), t2, p)
+
+
+@pytest.mark.parametrize(
+    "f, defect, error",
+    [
+        (classical.validate_prob_vector, "negative", StochasticityError),
+        (classical.validate_prob_vector, "sum", StochasticityError),
+        (matcore.shannon_entropy, "negative", DomainError),
+        (matcore.shannon_entropy, "sum", TraceError),
+    ],
+    ids=["validate-negative", "validate-sum", "shannon-negative", "shannon-sum"],
+)
+def test_one_bad_probability_vector_raises(f, defect, error):
+    p = prob_vectors(7, 4, 8)
+    bad = p[2].copy()
+    if defect == "negative":
+        bad[0], bad[1] = -1e-3, bad[1] + bad[0] + 1e-3
+    else:
+        bad[0] += 1e-9
+    with pytest.raises(error):
+        f(bad)
+    with pytest.raises(error):
+        f(with_bad_member(p, 2, bad))
+
+
+def test_one_member_not_bistochastic_raises():
+    b1, b2, b3 = (bistochastic(7, 3, 20 + k) for k in range(3))
+    bad = stochastic(1, 3, 9)[0]
+    assert not classical.is_bistochastic(bad, 1e-8)
+    with pytest.raises(BistochasticityError):
+        classical.bistochastic_slacks(bad, b2[5], b3[5])
+    with pytest.raises(BistochasticityError):
+        classical.bistochastic_slacks(with_bad_member(b1, 5, bad), b2, b3)
+    assert list(classical.is_bistochastic(with_bad_member(b1, 5, bad), 1e-8)) == [True] * 5 + [False, True]
