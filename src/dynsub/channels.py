@@ -11,6 +11,11 @@ Complete positivity, trace preservation and unitality are all read off D:
 The Jamiolkowski state is D/N; the entropy of a map is the von Neumann
 entropy of that state, ranging from 0 (unitary) to 2 ln N (completely
 depolarizing).
+
+A :class:`Channel` may also hold a stack of maps, a ``(B, N**2, N**2)``
+stack of Choi matrices; its spectra, states, entropies, compositions and
+outputs then come one per member, and each member gets exactly the bits of
+its own single-map call.
 """
 
 from __future__ import annotations
@@ -59,32 +64,37 @@ class KrausSet:
     ``sum_a A_a^dag A_a = eye``.
     """
 
-    operators: np.ndarray  # shape (M, N, N)
-    weights: np.ndarray  # shape (M,), descending
+    operators: np.ndarray  # shape (M, N, N), or (B, M, N, N) for a stack of channels
+    weights: np.ndarray  # shape (M,) or (B, M), descending
 
     @property
     def dim(self) -> int:
-        return self.operators.shape[1]
+        return self.operators.shape[-1]
 
     def __len__(self) -> int:
-        return self.operators.shape[0]
+        return self.operators.shape[-3]
 
 
 class Channel:
-    """A quantum map with its Choi matrix as the canonical representation.
+    """A quantum map, or a stack of them, with the Choi matrix as the canonical representation.
 
-    The CP/TP/unitality flags, the spectrum of D/N, which gives ``is_cp``
-    and :func:`map_entropy`, and the eigendecomposition of D, which gives
-    :func:`to_kraus`, are computed from it on first use and cached;
-    instances should be treated as immutable.  For concurrent use, call
-    :meth:`revalidate` once before sharing across threads.
+    ``choi`` is one Choi matrix D or a ``(B, N**2, N**2)`` stack of them.
+    The Hermiticity defect of D, which ``is_cp`` and ``choi_eig`` both
+    check, the CP/TP/unitality flags, the spectrum of D/N, which gives
+    ``is_cp`` and :func:`map_entropy`, and the eigendecomposition of D,
+    which gives :func:`to_kraus`, are computed from it on first use and
+    cached; instances should be treated as immutable.  A stack's flags say
+    that every member has the property.
     """
 
     def __init__(self, choi: np.ndarray, tol: float = FLAG_TOL):
         choi = np.asarray(choi, dtype=complex)
-        self._dim = _square_side(choi)
+        self._dim = _square_side(choi, stack=True)
+        if choi.ndim > 3:
+            raise DimensionError(f"expected a Choi matrix or a stack of them, got shape {choi.shape}")
         self.choi = choi
         self.tol = tol
+        self._defect = None
         self._is_cp: bool | None = None
         self._is_tp: bool | None = None
         self._is_unital: bool | None = None
@@ -131,10 +141,18 @@ class Channel:
         Computed once; read-only.
         """
         if self._choi_eig is None:
-            self._choi_eig = eig_hermitian(self.choi, hermit_tol=self.tol)
+            self._choi_eig = eig_hermitian(self.choi, self.tol, self._hermiticity_defect)
             for a in self._choi_eig:
                 a.flags.writeable = False
         return self._choi_eig
+
+    @property
+    def _hermiticity_defect(self) -> float:
+        """``hermiticity_defect(D)``, the largest member's for a stack; computed once."""
+        if self._defect is None:
+            defect = hermiticity_defect(self.choi)
+            self._defect = defect if self.choi.ndim == 2 else defect.max(initial=0.0)
+        return self._defect
 
     # -- structural predicates -------------------------------------------
 
@@ -142,14 +160,15 @@ class Channel:
     def is_cp(self) -> bool:
         """D is Hermitian within ``tol`` and N * min eig(D/N) >= -tol."""
         if self._is_cp is None:
-            hermitian = hermiticity_defect(self.choi) <= self.tol
-            self._is_cp = hermitian and bool(self._dim * self.jam_spectrum.min() >= -self.tol)
+            hermitian = self._hermiticity_defect <= self.tol
+            self._is_cp = bool(hermitian and self._dim * self.jam_spectrum.min() >= -self.tol)
         return self._is_cp
 
     @property
     def is_tp(self) -> bool:
         if self._is_tp is None:
-            self._is_tp = bool(_tp_defect(self.choi) <= self.tol)
+            defect = _tp_defect(self.choi)
+            self._is_tp = bool((defect if self.choi.ndim == 2 else defect.max()) <= self.tol)
         return self._is_tp
 
     @property
@@ -166,16 +185,20 @@ class Channel:
     # -- action and algebra ----------------------------------------------
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        """Act on an N-dimensional matrix."""
+        """Act on an N-dimensional matrix; a stack acts on one matrix or on one per member."""
         rho = np.asarray(rho, dtype=complex)
         n = self._dim
-        if rho.shape != (n, n):
+        lead = self.choi.shape[:-2]
+        if rho.shape != (n, n) and rho.shape != lead + (n, n):
             raise DimensionError(f"state shape {rho.shape} does not match dim {n}")
-        d4 = self.choi.reshape(n, n, n, n)
-        return np.einsum("mnuv,nv->mu", d4, rho)
+        d4 = self.choi.reshape(lead + (n, n, n, n))
+        return np.einsum("...mnuv,...nv->...mu", d4, rho)
 
     def compose(self, earlier: "Channel") -> "Channel":
-        """Concatenation self after earlier; Choi matrices multiply reshuffled."""
+        """Concatenation self after earlier, member by member for stacks of one size.
+
+        Choi matrices multiply reshuffled.
+        """
         if earlier.dim != self._dim:
             raise DimensionError(f"dims differ: {self._dim} vs {earlier.dim}")
         return Channel(odot_raw(self.choi, earlier.choi), tol=self.tol)
@@ -194,30 +217,51 @@ class Channel:
         return out
 
 
-def to_kraus(channel: Channel, cutoff: float = KRAUS_CUTOFF) -> KrausSet:
+def to_kraus(channel: Channel, cutoff: float = KRAUS_CUTOFF):
     """Canonical Kraus form from the cached Choi eigendecomposition.
 
     Eigenvalues below ``cutoff`` are dropped.  Operators are ordered by
     descending weight; each eigenvector's phase is fixed by making its
     first significant component real positive, so the output is
     deterministic for a given Choi matrix.
+
+    A stack of channels whose members keep the same number M of operators
+    gets one :class:`KrausSet` of ``(B, M, N, N)`` operators and ``(B, M)``
+    weights; when the counts differ it gets the list of the members' sets.
     """
     if not channel.is_cp:
         raise PositivityError("channel is not completely positive")
     n = channel.dim
     vals, vecs = channel.choi_eig
-    order = np.argsort(-vals, kind="stable")
+    order = np.argsort(-vals, axis=-1, kind="stable")
+    if vals.ndim == 1:
+        order = order[vals[order] > cutoff]
+        return _kraus_set(vals[order], vecs.T[order], n)
+    # The members' kept eigenvectors, in order, as the rows of one matrix;
+    # every step of _kraus_set treats each row on its own.
+    size, d = vals.shape
+    order = order + d * np.arange(size)[:, None]
+    vals = vals.reshape(-1)
     order = order[vals[order] > cutoff]
-    if order.size == 0:
-        return KrausSet(np.zeros((0, n, n), dtype=complex), np.zeros(0))
-    weights = vals[order]
-    cols = vecs[:, order]
-    mags = np.abs(cols)
-    first = np.argmax(mags > 1e-8 * mags.max(axis=0), axis=0)
-    lead = cols[first, np.arange(cols.shape[1])]
-    cols = cols * (lead.conj() / np.abs(lead))
-    ops = (np.sqrt(weights) * cols).T.reshape(-1, n, n)
-    return KrausSet(ops, weights)
+    ks = _kraus_set(vals[order], vecs.swapaxes(-1, -2)[order // d, order % d], n)
+    kept = (vals > cutoff).reshape(size, d).sum(axis=-1)
+    if kept.min() == kept.max():
+        return KrausSet(ks.operators.reshape(size, kept[0], n, n), ks.weights.reshape(size, kept[0]))
+    cuts = np.cumsum(kept)[:-1]
+    return [KrausSet(*k) for k in zip(np.split(ks.operators, cuts), np.split(ks.weights, cuts))]
+
+
+def _kraus_set(weights: np.ndarray, rows: np.ndarray, n: int) -> KrausSet:
+    """Kraus operators from eigenvectors of D and their eigenvalues.
+
+    ``rows`` holds one eigenvector per row and is scaled in place.
+    """
+    mags = np.abs(rows)
+    first = np.argmax(mags > 1e-8 * mags.max(axis=1, keepdims=True), axis=1)
+    lead = rows[np.arange(len(rows)), first]
+    rows *= (lead.conj() / np.abs(lead))[:, None]
+    rows *= np.sqrt(weights)[:, None]
+    return KrausSet(rows.reshape(-1, n, n), weights)
 
 
 def apply_kraus(operators, rho: np.ndarray) -> np.ndarray:
@@ -241,13 +285,16 @@ def _require_cptp(channel: Channel) -> None:
 
 
 def jam_state(channel: Channel) -> np.ndarray:
-    """The Jamiolkowski state Choi/N of a CP-TP channel."""
+    """The Jamiolkowski state Choi/N of a CP-TP channel, or the stack of a stack's."""
     _require_cptp(channel)
     return channel.choi / channel.dim
 
 
-def map_entropy(channel: Channel) -> float:
-    """Entropy of the Jamiolkowski state, in [0, 2 ln N], from the cached spectrum."""
+def map_entropy(channel: Channel):
+    """Entropy of the Jamiolkowski state, in [0, 2 ln N], from the cached spectrum.
+
+    A float, or an array of one per member for a stack.
+    """
     _require_cptp(channel)
     return _map_entropy_in_range(spectrum_entropy(channel.jam_spectrum), channel.dim)
 
@@ -266,16 +313,31 @@ def sigma_hat(channel: Channel, rho: np.ndarray) -> np.ndarray:
     Indexed by the canonical Kraus labels, so its dimension equals the
     Kraus count (at most N**2).  It is PSD with unit trace for a TP
     channel; spectral quantities are independent of the Kraus labeling.
+
+    A stack of channels takes one state or one per member.  Its members'
+    matrices come as one ``(B, M, M)`` stack when every member keeps M Kraus
+    operators, else as a list, member by member.
     """
     ks = to_kraus(channel)
     rho = np.asarray(rho, dtype=complex)
-    t = ks.operators @ rho
-    return np.einsum("aij,bij->ab", t, ks.operators.conj())
+    if isinstance(ks, list):
+        rhos = rho if rho.ndim > 2 else [rho] * len(ks)
+        return [_correlation(k.operators, r) for k, r in zip(ks, rhos)]
+    return _correlation(ks.operators, rho)
 
 
-def entropy_exchange(channel: Channel, rho: np.ndarray) -> float:
-    """Entropy of the correlation matrix sigma_hat."""
-    return von_neumann_entropy(sigma_hat(channel, rho))
+def _correlation(ops: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """sigma[..., a, b] = tr(rho A_b^dag A_a) for operators ``(..., M, N, N)`` and states ``(..., N, N)``."""
+    t = ops @ rho[..., None, :, :]
+    return np.einsum("...aij,...bij->...ab", t, ops.conj())
+
+
+def entropy_exchange(channel: Channel, rho: np.ndarray):
+    """Entropy of the correlation matrix sigma_hat; one per member of a stack."""
+    sigma = sigma_hat(channel, rho)
+    if isinstance(sigma, list):
+        return np.array([von_neumann_entropy(s) for s in sigma])
+    return von_neumann_entropy(sigma)
 
 
 def purified_exchange_entropy(channel: Channel, rho: np.ndarray) -> float:

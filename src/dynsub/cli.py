@@ -24,6 +24,7 @@ from .jsonio import (
     matrix_to_obj,
     round_scalar,
 )
+from .matcore import _as_square
 from .randgen import (
     RngStream,
     random_bistochastic_channel,
@@ -69,7 +70,7 @@ def _require(value, flag: str):
 
 
 def _load_channel(path: str) -> Channel:
-    return Channel(load_matrix(path))
+    return Channel(_as_square(load_matrix(path)))  # one Choi matrix, not a stack
 
 
 def _cmd_channel(args) -> int:

@@ -125,11 +125,12 @@ def hermiticity_defect(x: np.ndarray):
     return np.abs(x - x.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) / scale
 
 
-def _checked_hermitian_part(x: np.ndarray, hermit_tol: float, what: str) -> np.ndarray:
+def _checked_hermitian_part(x: np.ndarray, hermit_tol: float, what: str, defect=None) -> np.ndarray:
     x = _as_square(x, stack=True)
-    defect = hermiticity_defect(x)
-    if x.ndim > 2:
-        defect = defect.max(initial=0.0)
+    if defect is None:
+        defect = hermiticity_defect(x)
+        if x.ndim > 2:
+            defect = defect.max(initial=0.0)
     if defect > hermit_tol:
         raise HermiticityError(f"{what} deviates from Hermiticity by {defect:.3e}")
     return hermitian_part(x)
@@ -144,13 +145,15 @@ def hermitian_eigvals(x: np.ndarray, hermit_tol: float, what: str = "matrix") ->
     return np.linalg.eigvalsh(_checked_hermitian_part(x, hermit_tol, what))
 
 
-def eig_hermitian(x: np.ndarray, hermit_tol: float = HERMIT_TOL):
+def eig_hermitian(x: np.ndarray, hermit_tol: float = HERMIT_TOL, defect=None):
     """Eigendecomposition of a Hermitian matrix, checked as in :func:`hermitian_eigvals`.
 
     Returns ``(values, vectors)`` with values ascending and eigenvectors in
-    the columns of ``vectors``; a stack gets a stack of each.
+    the columns of ``vectors``; a stack gets a stack of each.  A caller that
+    has already measured ``hermiticity_defect(x)``, its largest member's for a
+    stack, passes it as ``defect`` instead of having it measured again.
     """
-    return np.linalg.eigh(_checked_hermitian_part(x, hermit_tol, "matrix"))
+    return np.linalg.eigh(_checked_hermitian_part(x, hermit_tol, "matrix", defect))
 
 
 def check_spectrum(vals: np.ndarray, tol: float, upper=None, error=PositivityError, what="matrix"):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .channels import Channel
 from .errors import ConvergenceError
-from .matcore import hermitian_part, kron, partial_trace, psd_inv_sqrt, psd_sqrt
+from .matcore import _square_side, hermitian_part, partial_trace, psd_inv_sqrt, psd_sqrt
 from .quasifree import QFMap, qf_bistochastic, qf_extreme
 
 
@@ -65,12 +65,25 @@ def wishart_choi(n: int, rng) -> np.ndarray:
     return gm @ gm.conj().T
 
 
-def random_channel(n: int, rng) -> Channel:
-    """Random CP-TP channel: a Wishart Choi matrix renormalized on one marginal."""
-    w = wishart_choi(n, rng)
+def tp_renormalize(w: np.ndarray) -> np.ndarray:
+    """``(1 (x) S) W (1 (x) S)^dag`` with ``S = (tr_A W)^(-1/2)``, for one W or a stack of them.
+
+    Turns a positive definite Choi matrix into that of a trace-preserving
+    map.  ``1 (x) S`` is the block-diagonal matrix of N copies of S, so the
+    congruence is two stacked products and a stack's members get the bits
+    of their own calls.
+    """
+    n = _square_side(w, stack=True)
     s = psd_inv_sqrt(partial_trace(w, "A"))
-    left = kron(np.eye(n), s)
-    return Channel(left @ w @ left.conj().T)
+    left = np.zeros(w.shape, dtype=complex)
+    for k in range(0, n * n, n):
+        left[..., k : k + n, k : k + n] = s
+    return left @ w @ left.conj().swapaxes(-1, -2)
+
+
+def random_channel(n: int, rng) -> Channel:
+    """Random CP-TP channel: :func:`tp_renormalize` of a :func:`wishart_choi` draw."""
+    return Channel(tp_renormalize(wishart_choi(n, rng)))
 
 
 def operator_sinkhorn(w: np.ndarray, tol: float = 1e-10, max_iter: int = 1000) -> np.ndarray:

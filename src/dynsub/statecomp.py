@@ -18,7 +18,7 @@ import enum
 import numpy as np
 
 from .errors import ClassError, DimensionError
-from .matcore import _square_side, kron, max_entangled_projector, partial_trace, reshuffle
+from .matcore import _float_or_stack, _square_side, kron, max_entangled_projector, partial_trace, reshuffle
 
 MEMBERSHIP_TOL = 1e-8
 
@@ -37,27 +37,38 @@ def odot_raw(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return reshuffle(reshuffle(x) @ reshuffle(y))
 
 
-def membership(sigma: np.ndarray, tol: float = MEMBERSHIP_TOL) -> StateClass:
-    """Classify a bipartite state by which marginals are maximally mixed."""
-    n = _square_side(sigma)
-    flat = np.eye(n) / n
-    left = np.abs(partial_trace(sigma, "A") - flat).max() <= tol
-    if not left:
+def _marginal_defect(sigma: np.ndarray, side: str):
+    """Max-norm distance of the marginal left by tracing out ``side`` from the maximally mixed state.
+
+    One per member of a stack.
+    """
+    n = _square_side(sigma, stack=True)
+    return np.abs(partial_trace(sigma, side) - np.eye(n) / n).max(axis=(-2, -1))
+
+
+def membership(sigma: np.ndarray, tol: float = MEMBERSHIP_TOL):
+    """Classify a bipartite state by which marginals are maximally mixed.
+
+    A stack of states gets the list of its members' classes.
+    """
+    sigma = np.asarray(sigma)
+    if sigma.ndim > 2:
+        return [membership(s, tol) for s in sigma]
+    if not _marginal_defect(sigma, "A") <= tol:
         return StateClass.GENERAL
-    right = np.abs(partial_trace(sigma, "B") - flat).max() <= tol
-    return StateClass.D_II if right else StateClass.D_I
+    return StateClass.D_II if _marginal_defect(sigma, "B") <= tol else StateClass.D_I
 
 
 def odot_state(sigma1: np.ndarray, sigma2: np.ndarray, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
-    """State-level composition: N times the raw product.
+    """State-level composition: N times the raw product; member by member for two stacks.
 
-    Both operands must have maximally mixed left marginal; the result is
-    again such a state, with unit trace.  If both operands also have
-    maximally mixed right marginal, so does the result.
+    Both operands, or every member of both, must have maximally mixed left
+    marginal; the result is again such a state, with unit trace.  If both
+    operands also have maximally mixed right marginal, so does the result.
     """
-    n = _square_side(sigma1)
+    n = _square_side(sigma1, stack=True)
     for name, s in (("first", sigma1), ("second", sigma2)):
-        if membership(s, tol) is StateClass.GENERAL:
+        if not (_marginal_defect(s, "A") <= tol).all():
             raise ClassError(f"{name} operand has left marginal away from maximally mixed")
     return n * odot_raw(sigma1, sigma2)
 
@@ -72,9 +83,9 @@ def idempotent_extension(rho0: np.ndarray) -> np.ndarray:
     return kron(rho0, np.eye(n)) / n
 
 
-def not_square_witness(sigma: np.ndarray) -> float:
-    """Max-norm gap between the self-composition and the matrix square."""
-    return float(np.abs(odot_raw(sigma, sigma) - sigma @ sigma).max())
+def not_square_witness(sigma: np.ndarray):
+    """Max-norm gap between the self-composition and the matrix square; one per member of a stack."""
+    return _float_or_stack(np.abs(odot_raw(sigma, sigma) - sigma @ sigma).max(axis=(-2, -1)))
 
 
 __all__ = [

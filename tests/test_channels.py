@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dynsub import channels, matcore
 from dynsub.channels import (
     Channel,
     apply_kraus,
@@ -107,6 +108,21 @@ def test_to_kraus_requires_cp():
     swap = Channel(np.eye(4)[:, [0, 2, 1, 3]].astype(complex))
     with pytest.raises(PositivityError):
         to_kraus(swap)
+
+
+def test_a_channel_checks_the_hermiticity_of_d_once(monkeypatch):
+    # is_cp and choi_eig share one measurement of D's defect; the spectrum of
+    # D/N behind is_cp checks D/N.
+    calls = []
+    for module in (channels, matcore):
+        original = module.hermiticity_defect
+        monkeypatch.setattr(
+            module, "hermiticity_defect", lambda x, f=original: calls.append(x.shape) or f(x)
+        )
+    ch = random_channel(2, 3)
+    calls.clear()
+    to_kraus(ch)
+    assert calls == [(4, 4), (4, 4)]
 
 
 def test_kraus_rank_matches_choi_rank():

@@ -1,26 +1,39 @@
 """Stack-polymorphic kernels: a stack gives each member the bits of its own call.
 
-Each kernel is called on stacks of 1, 7 and 256 members at N = 1..6 and
-compared, bit for bit, with its calls on the members one at a time, which
-return Python floats where a stack returns arrays.  A validator given a
-stack with exactly one bad member raises what it raises for that member.
+Each kernel is called on stacks of 1, 7 and 256 members at N = 1..6 (the
+channel kernels at N = 1..4) and compared, bit for bit, with its calls on
+the members one at a time, which return Python floats where a stack returns
+arrays.  A validator given a stack with exactly one bad member raises what
+it raises for that member.
 """
 
 import numpy as np
 import pytest
 
-from dynsub import channels, classical, matcore, statecomp
+from dynsub import channels, classical, harness, matcore, statecomp
+from dynsub.channels import Channel
 from dynsub.errors import (
     BistochasticityError,
+    ClassError,
     DomainError,
+    DynsubError,
     HermiticityError,
+    PositivityError,
     StochasticityError,
     TraceError,
 )
-from dynsub.randgen import random_bistochastic_matrix, random_density, random_stochastic
+from dynsub.randgen import (
+    haar_unitary,
+    random_bistochastic_matrix,
+    random_density,
+    random_stochastic,
+    tp_renormalize,
+    wishart_choi,
+)
 
 SIZES = (1, 7, 256)
 DIMS = (1, 2, 3, 4, 5, 6)
+CHANNEL_DIMS = (1, 2, 3, 4)
 
 
 def bits(x):
@@ -92,6 +105,7 @@ def test_composition_kernels_are_stack_polymorphic(n, size):
     for side in ("A", "B"):
         assert_member_arrays(matcore.partial_trace(x, side), [matcore.partial_trace(a, side) for a in x])
     assert_member_arrays(statecomp.odot_raw(x, y), [statecomp.odot_raw(a, b) for a, b in zip(x, y)])
+    assert_members(statecomp.not_square_witness(x), [statecomp.not_square_witness(a) for a in x])
 
 
 def test_hermiticity_check_sees_one_bad_member():
@@ -244,3 +258,184 @@ def test_one_member_not_bistochastic_raises():
     with pytest.raises(BistochasticityError):
         classical.bistochastic_slacks(with_bad_member(b1, 5, bad), b2, b3)
     assert list(classical.is_bistochastic(with_bad_member(b1, 5, bad), 1e-8)) == [True] * 5 + [False, True]
+
+
+# -- channels ------------------------------------------------------------------------
+
+
+def wisharts(size, n, seed):
+    g = np.random.default_rng(seed)
+    return np.stack([wishart_choi(n, g) for _ in range(size)])
+
+
+def cptp_chois(size, n, seed):
+    return tp_renormalize(wisharts(size, n, seed))
+
+
+def unitary_choi(n, seed):
+    v = haar_unitary(n, seed).reshape(-1)
+    return np.outer(v, v.conj())
+
+
+def assert_kraus_members(stacked, singles):
+    assert_member_arrays(stacked.operators, [k.operators for k in singles])
+    assert_member_arrays(stacked.weights, [k.weights for k in singles])
+
+
+@pytest.mark.parametrize("size", SIZES)
+@pytest.mark.parametrize("n", CHANNEL_DIMS)
+def test_renormalization_is_stack_polymorphic(n, size):
+    w = wisharts(size, n, 3 * n + size)
+    assert_member_arrays(tp_renormalize(w), [tp_renormalize(x) for x in w])
+
+
+@pytest.mark.parametrize("size", SIZES)
+@pytest.mark.parametrize("n", CHANNEL_DIMS)
+def test_channel_kernels_are_stack_polymorphic(n, size):
+    d1, d2 = cptp_chois(size, n, 5 * n + size), cptp_chois(size, n, 500 + n + size)
+    rho = densities(size, n, 50 + n + size)
+    stack1, stack2 = Channel(d1), Channel(d2)
+    singles1, singles2 = [Channel(d) for d in d1], [Channel(d) for d in d2]
+    assert stack1.is_cp and stack1.is_tp
+    assert_member_arrays(stack1.jam_spectrum, [c.jam_spectrum for c in singles1])
+    assert_members(channels.map_entropy(stack1), [channels.map_entropy(c) for c in singles1])
+    assert_member_arrays(channels.jam_state(stack1), [channels.jam_state(c) for c in singles1])
+    composed = stack2.compose(stack1)
+    assert_member_arrays(composed.choi, [b.compose(a).choi for a, b in zip(singles1, singles2)])
+    assert_members(
+        channels.map_entropy(composed),
+        [channels.map_entropy(b.compose(a)) for a, b in zip(singles1, singles2)],
+    )
+    assert_member_arrays(stack1.apply(rho), [c.apply(r) for c, r in zip(singles1, rho)])
+    assert_member_arrays(stack1.apply(rho[0]), [c.apply(rho[0]) for c in singles1])
+    s1, s2 = channels.jam_state(stack1), channels.jam_state(stack2)
+    assert_member_arrays(
+        statecomp.odot_state(s2, s1), [statecomp.odot_state(b, a) for a, b in zip(s1, s2)]
+    )
+    assert_kraus_members(channels.to_kraus(stack1), [channels.to_kraus(c) for c in singles1])
+    assert_member_arrays(
+        channels.sigma_hat(stack1, rho), [channels.sigma_hat(c, r) for c, r in zip(singles1, rho)]
+    )
+    assert_members(
+        channels.entropy_exchange(stack1, rho),
+        [channels.entropy_exchange(c, r) for c, r in zip(singles1, rho)],
+    )
+    assert_members(
+        channels.entropy_exchange(stack1, rho[0]),
+        [channels.entropy_exchange(c, rho[0]) for c in singles1],
+    )
+
+
+@pytest.mark.parametrize("n", (2, 3))
+def test_kraus_route_falls_back_when_the_counts_differ(n):
+    chois = cptp_chois(7, n, 40 + n)
+    chois[4] = unitary_choi(n, 41 + n)  # one Kraus operator where the others keep N**2
+    rho = densities(7, n, 42 + n)
+    stack, singles = Channel(chois), [Channel(d) for d in chois]
+    kraus = channels.to_kraus(stack)
+    assert isinstance(kraus, list) and [len(k) for k in kraus] == [n * n] * 4 + [1] + [n * n] * 2
+    for member, c in zip(kraus, singles):
+        own = channels.to_kraus(c)
+        assert bits(member.operators) == bits(own.operators)
+        assert bits(member.weights) == bits(own.weights)
+    sigmas = channels.sigma_hat(stack, rho)
+    for sigma, c, r in zip(sigmas, singles, rho):
+        assert bits(sigma) == bits(channels.sigma_hat(c, r))
+    assert_members(
+        channels.entropy_exchange(stack, rho),
+        [channels.entropy_exchange(c, r) for c, r in zip(singles, rho)],
+    )
+
+
+def non_cp(d):
+    return d - 2 * np.abs(np.linalg.eigvalsh(d)).max() * np.eye(len(d))
+
+
+def non_tp(d):
+    return 1.1 * d
+
+
+def non_hermitian(d):
+    d = d.copy()
+    d[0, 1] += 1e-6
+    return d
+
+
+CHANNEL_CONSUMERS = {
+    "map_entropy": channels.map_entropy,
+    "jam_state": channels.jam_state,
+    "to_kraus": channels.to_kraus,
+    "entropy_exchange": lambda ch: channels.entropy_exchange(ch, np.eye(ch.dim) / ch.dim),
+}
+
+
+def raised(f, *args):
+    """The type of the DynsubError that ``f(*args)`` raises, or None."""
+    try:
+        f(*args)
+    except DynsubError as exc:
+        return type(exc)
+    return None
+
+
+@pytest.mark.parametrize("defect", [non_cp, non_tp, non_hermitian])
+@pytest.mark.parametrize("name", sorted(CHANNEL_CONSUMERS))
+def test_one_bad_channel_member_raises(name, defect):
+    f = CHANNEL_CONSUMERS[name]
+    chois = cptp_chois(7, 2, 60)
+    bad = defect(chois[3])
+    single = raised(f, Channel(bad))
+    # The Kraus route needs complete positivity only.
+    expected = {non_cp: PositivityError, non_hermitian: PositivityError}.get(
+        defect, None if name in ("to_kraus", "entropy_exchange") else TraceError
+    )
+    assert single is expected
+    assert raised(f, Channel(with_bad_member(chois, 3, bad))) is single
+
+
+def test_a_stack_sees_one_non_hermitian_choi_matrix():
+    chois = cptp_chois(7, 2, 61)
+    bad = non_hermitian(chois[2])
+    with pytest.raises(HermiticityError):
+        Channel(bad).choi_eig
+    with pytest.raises(HermiticityError):
+        Channel(with_bad_member(chois, 2, bad)).choi_eig
+
+
+def test_one_state_outside_d_i_raises():
+    states = channels.jam_state(Channel(cptp_chois(7, 2, 62)))
+    bad = densities(1, 4, 63)[0]
+    assert statecomp.membership(bad) is statecomp.StateClass.GENERAL
+    for first, second in ((bad, states[5]), (states[5], bad)):
+        with pytest.raises(ClassError):
+            statecomp.odot_state(first, second)
+    stack = with_bad_member(states, 5, bad)
+    assert statecomp.membership(stack) == [statecomp.membership(s) for s in stack]
+    assert statecomp.membership(stack)[5] is statecomp.StateClass.GENERAL
+    for first, second in ((stack, states), (states, stack)):
+        with pytest.raises(ClassError):
+            statecomp.odot_state(first, second)
+
+
+# -- suites --------------------------------------------------------------------------
+
+
+def _count_calls(monkeypatch, modules, name):
+    calls = []
+    for module in modules:
+        original = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *a, f=original, **k: calls.append(None) or f(*a, **k)
+        )
+    return calls
+
+
+@pytest.mark.parametrize("suite", ["dynsub_general", "dynsub_bistochastic"])
+def test_channel_suite_spectra_do_not_grow_with_the_batch(suite, monkeypatch):
+    calls = _count_calls(monkeypatch, [matcore, channels], "hermitian_eigvals")
+    per_batch = {}
+    for size in (8, 64):
+        calls.clear()
+        harness.evaluate_samples(suite, 2, 5, range(size))
+        per_batch[size] = len(calls)
+    assert per_batch[8] == per_batch[64]
