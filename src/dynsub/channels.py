@@ -178,10 +178,6 @@ class Channel:
             self._is_unital = bool(dev <= self.tol)
         return self._is_unital
 
-    def revalidate(self) -> tuple[bool, bool, bool]:
-        """Compute and cache all three flags; returns (cp, tp, unital)."""
-        return (self.is_cp, self.is_tp, self.is_unital)
-
     # -- action and algebra ----------------------------------------------
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
@@ -484,8 +480,8 @@ def embedding_defects(t1: np.ndarray, t2: np.ndarray, p: np.ndarray) -> Embeddin
     All three vanish up to round-off.  Takes one (T1, T2, P), giving floats,
     or stacks of them along leading axes, giving arrays.  The map entropies
     get the CP, TP and range checks of :func:`map_entropy`.  Choi matrices
-    are built ``EMBED_CHUNK`` members at a time; the exchange entropy is
-    taken member by member.
+    are built, and the exchange entropies taken, ``EMBED_CHUNK`` members at
+    a time.
     """
     t1 = classical.validate_stochastic(t1)
     t2 = classical.validate_stochastic(t2)
@@ -500,12 +496,13 @@ def embedding_defects(t1: np.ndarray, t2: np.ndarray, p: np.ndarray) -> Embeddin
     for lo in range(0, len(t1), EMBED_CHUNK):
         part = slice(lo, lo + EMBED_CHUNK)
         d1, d2 = _diag_choi(t1[part]), _diag_choi(t2[part])
-        for i, (d, q) in enumerate(zip(d1, p[part]), lo):
-            ch = Channel(d)
-            # to_kraus raises unless the channel is CP, which it checks on the
-            # spectrum of D/N, as map_entropy does; the map entropy reads it.
-            s_ex[i] = entropy_exchange(ch, np.diag(q).astype(complex))
-            spectra[i] = ch.jam_spectrum
+        ch = Channel(d1)
+        states = np.zeros((len(d1), n, n), dtype=complex)
+        states[:, np.arange(n), np.arange(n)] = p[part]
+        # to_kraus raises unless the channels are CP, which it checks on the
+        # spectra of D/N, as map_entropy does; the map entropies read them.
+        s_ex[part] = entropy_exchange(ch, states)
+        spectra[part] = ch.jam_spectrum
         if not np.all(_tp_defect(d1) <= FLAG_TOL):
             raise TraceError("channel is not trace preserving")
         composed[part] = _choi_diagonal(odot_raw(d2, d1))

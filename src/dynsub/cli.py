@@ -15,7 +15,7 @@ import sys
 from . import classical as cl
 from . import quasifree as qf
 from .channels import Channel, map_entropy, to_kraus
-from .errors import DynsubError
+from .errors import DomainError, DynsubError
 from .harness import INEQ_TOL, SUITES, run_all
 from .jsonio import (
     MatrixFileError,
@@ -159,6 +159,9 @@ def _cmd_qf(args) -> int:
 
 
 def _cmd_random(args) -> int:
+    size, flag = (args.modes, "--modes") if args.kind == "qfmap" else (args.dim, "--dim")
+    if size < 1:
+        raise DomainError(f"{flag} must be at least 1, got {size}")
     g = RngStream(args.seed, args.index).generator()
     if args.kind == "channel":
         if args.bistochastic:

@@ -10,29 +10,23 @@ its slack is at least minus its tolerance (see ``TOLERANCES``).
 Because any sample is a pure function of (seed, index), the worst case of
 a suite can be replayed exactly from the report.
 
-A sample runs in two phases.  A suite's sample function makes every draw
-of a batch's samples, each from its own stream in a fixed order, and
-returns the Sinkhorn starts they drew (Wishart Choi matrices, or positive
-matrices in ``classical``) with a function that maps their scaled draws to
-the samples' checks.  :func:`evaluate_samples` draws a batch
-(:func:`run_suite` passes up to ``BATCH`` indices at a time), scales all
-the batch's starts in one stacked call (:func:`operator_sinkhorn`, or
-:func:`matrix_sinkhorn` in ``classical``) and hands the draws back to the
-suite.  Six suites then evaluate their checks on stacks, each library
-kernel running once per batch.  ``classical`` works on ``(B, N, N)``
-matrices and ``(B, N)`` vectors, except the exchange entropy, which the
-Kraus route takes sample by sample.  The five channel suites hold each
-role's channels as one :class:`Channel` over a ``(B, N**2, N**2)`` stack of
-Choi matrices; their Wishart channels are drawn sample by sample and
-trace-normalized (:func:`tp_renormalize`) once per batch, at the end of the
-first phase.  ``lindblad``, ``data_processing`` and ``quasifree`` have no
-Sinkhorn draw: they make their draws in the second phase, so a batch holds
-none of them, and finish sample by sample, in index order, through
-``_each``.  A Sinkhorn draw's result does not depend on its stack, and a
-stacked kernel gives each member the bits of its own call, so replay,
-:func:`evaluate_sample`, runs the same code on a batch of one and
-reproduces every bit of the batched run.  Evaluation is serial and ignores
-the ``DYNSUB_THREADS`` environment variable.
+A suite evaluates a batch of samples at once (:func:`run_suite` passes up
+to ``BATCH`` indices at a time).  Its sample function makes every sample's
+draws from that sample's own stream, in a fixed order, then computes the
+checks of the whole batch.  The six suites with Sinkhorn draws (Wishart
+Choi matrices, or positive matrices in ``classical``) scale all of the
+batch's starts in one stacked call (:func:`operator_sinkhorn`, or
+:func:`matrix_sinkhorn` in ``classical``) and evaluate their checks on
+stacks, each library kernel running once per batch.  ``classical`` works on
+``(B, N, N)`` matrices and ``(B, N)`` vectors.  The five channel suites and
+``data_processing`` hold each role's channels as one :class:`Channel` over a
+``(B, N**2, N**2)`` stack of Choi matrices; their Wishart channels are drawn
+sample by sample and trace-normalized (:func:`tp_renormalize`) once per
+batch.  ``lindblad`` and ``quasifree`` draw and check one sample after
+another, in index order.  A Sinkhorn draw's result does not depend on its
+stack, and a stacked kernel gives each member the bits of its own call, so
+replay, :func:`evaluate_sample`, runs the same code on a batch of one and
+reproduces every bit of the batched run.
 """
 
 from __future__ import annotations
@@ -73,9 +67,9 @@ from .randgen import (
 )
 from .statecomp import not_square_witness, odot_raw, odot_state
 
-# Samples evaluated together by run_suite.  A batch holds the draws of its
-# samples between the two phases, so it costs memory in proportion to its
-# size; past a few hundred draws a stacked Sinkhorn call gets no cheaper
+# Samples evaluated together by run_suite.  A batch holds the draws of all
+# its samples while their checks run, so it costs memory in proportion to
+# its size; past a few hundred draws a stacked Sinkhorn call gets no cheaper
 # per draw.
 BATCH = 256
 
@@ -202,26 +196,10 @@ def _eqs(name: str, deviations: np.ndarray) -> list[Check]:
 #
 # A suite's sample function ``(dim, gens, tol)`` takes the numpy random
 # generators of a batch's streams, one per sample, makes each sample's draws
-# from its own generator and returns ``(starts, finish)``: the Sinkhorn starts
-# of the batch, sample by sample and each sample's in draw order, and a
-# function that maps their scaled draws, in the same order, to each sample's
-# list of checks.  ``lindblad``, ``data_processing`` and ``quasifree``
-# finish sample by sample through ``_each``; the other suites evaluate their
-# batch as stacks.
-
-
-def _each(sample):
-    """A suite's sample function from a one-sample one, ``(dim, g, tol) -> finish``.
-
-    For suites without Sinkhorn starts: ``finish()`` makes the sample's draws
-    and returns its checks.
-    """
-
-    def batch(dim: int, gens, tol: float):
-        finishes = [sample(dim, g, tol) for g in gens]
-        return [], lambda _: [finish() for finish in finishes]
-
-    return batch
+# from its own generator and returns each sample's list of checks, in the
+# order of ``gens``.  A suite with Sinkhorn draws collects the batch's starts,
+# sample by sample and each sample's in draw order, and scales them in one
+# call; the draws it no longer needs are dropped before the checks run.
 
 
 def _by_sample(*columns) -> list[list[Check]]:
@@ -244,161 +222,157 @@ def _most(a, b):
     return np.maximum(b, a)
 
 
-def _sample_dynsub_bistochastic(dim: int, gens, tol: float):
+def _sample_dynsub_bistochastic(dim: int, gens, tol: float) -> list[list[Check]]:
     starts, w2 = [], []
     for g in gens:
         starts.append(wishart_choi(dim, g))
         w2.append(wishart_choi(dim, g))
         starts += [wishart_choi(dim, g), wishart_choi(dim, g)]
     phi2 = Channel(tp_renormalize(np.stack(w2)))
+    del w2
+    draws = operator_sinkhorn(np.stack(starts))
+    del starts
+    phi1, b1, b2 = Channel(draws[0::3]), Channel(draws[1::3]), Channel(draws[2::3])
+    s1, s2 = map_entropy(phi1), map_entropy(phi2)
+    s21 = map_entropy(phi2.compose(phi1))
 
-    def finish(draws):
-        phi1, b1, b2 = Channel(draws[0::3]), Channel(draws[1::3]), Channel(draws[2::3])
-        s1, s2 = map_entropy(phi1), map_entropy(phi2)
-        s21 = map_entropy(phi2.compose(phi1))
+    t1, t2 = map_entropy(b1), map_entropy(b2)
+    t12 = map_entropy(b1.compose(b2))
+    t21 = map_entropy(b2.compose(b1))
 
-        t1, t2 = map_entropy(b1), map_entropy(b2)
-        t12 = map_entropy(b1.compose(b2))
-        t21 = map_entropy(b2.compose(b1))
-
-        sig1, sig2 = jam_state(b1), jam_state(b2)
-        u21 = von_neumann_entropy(odot_state(sig2, sig1))
-        u12 = von_neumann_entropy(odot_state(sig1, sig2))
-        return _by_sample(
-            _ineqs("subadditivity.upper", s1 + s2 - s21, tol),
-            _ineqs("symmetric.lower", _least(t12, t21) - _most(t1, t2), tol),
-            _ineqs("triangle.lower", _least(u21, u12) - _most(t1, t2), tol),
-            _ineqs("triangle.upper", t1 + t2 - _most(u21, u12), tol),
-        )
-
-    return starts, finish
-
-
-def _sample_strong_dynsub(dim: int, gens, tol: float):
-    def finish(draws):
-        b1, b2, b3 = Channel(draws[0::3]), Channel(draws[1::3]), Channel(draws[2::3])
-        s321 = map_entropy(b3.compose(b2).compose(b1))
-        s2 = map_entropy(b2)
-        s32 = map_entropy(b3.compose(b2))
-        s21 = map_entropy(b2.compose(b1))
-
-        g1, g2, g3 = jam_state(b1), jam_state(b2), jam_state(b3)
-        v321 = von_neumann_entropy(odot_state(odot_state(g3, g2), g1))
-        v32 = von_neumann_entropy(odot_state(g3, g2))
-        v21 = von_neumann_entropy(odot_state(g2, g1))
-        return _by_sample(
-            _ineqs("strong_subadditivity", s32 + s21 - s321 - s2, tol),
-            _ineqs("strong_subadditivity.states", v32 + v21 - v321 - von_neumann_entropy(g2), tol),
-        )
-
-    return [wishart_choi(dim, g) for g in gens for _ in range(3)], finish
+    sig1, sig2 = jam_state(b1), jam_state(b2)
+    u21 = von_neumann_entropy(odot_state(sig2, sig1))
+    u12 = von_neumann_entropy(odot_state(sig1, sig2))
+    return _by_sample(
+        _ineqs("subadditivity.upper", s1 + s2 - s21, tol),
+        _ineqs("symmetric.lower", _least(t12, t21) - _most(t1, t2), tol),
+        _ineqs("triangle.lower", _least(u21, u12) - _most(t1, t2), tol),
+        _ineqs("triangle.upper", t1 + t2 - _most(u21, u12), tol),
+    )
 
 
-def _sample_dynsub_general(dim: int, gens, tol: float):
+def _sample_strong_dynsub(dim: int, gens, tol: float) -> list[list[Check]]:
+    draws = operator_sinkhorn(np.stack([wishart_choi(dim, g) for g in gens for _ in range(3)]))
+    b1, b2, b3 = Channel(draws[0::3]), Channel(draws[1::3]), Channel(draws[2::3])
+    s321 = map_entropy(b3.compose(b2).compose(b1))
+    s2 = map_entropy(b2)
+    s32 = map_entropy(b3.compose(b2))
+    s21 = map_entropy(b2.compose(b1))
+
+    g1, g2, g3 = jam_state(b1), jam_state(b2), jam_state(b3)
+    v321 = von_neumann_entropy(odot_state(odot_state(g3, g2), g1))
+    v32 = von_neumann_entropy(odot_state(g3, g2))
+    v21 = von_neumann_entropy(odot_state(g2, g1))
+    return _by_sample(
+        _ineqs("strong_subadditivity", s32 + s21 - s321 - s2, tol),
+        _ineqs("strong_subadditivity.states", v32 + v21 - v321 - von_neumann_entropy(g2), tol),
+    )
+
+
+def _sample_dynsub_general(dim: int, gens, tol: float) -> list[list[Check]]:
     starts, ws = [], []
     for g in gens:
         ws += [wishart_choi(dim, g), wishart_choi(dim, g)]
         starts += [wishart_choi(dim, g), wishart_choi(dim, g)]
         ws.append(wishart_choi(dim, g))
     phi1, phi2, phi3 = (Channel(tp_renormalize(np.stack(ws[k::3]))) for k in range(3))
+    del ws
+    draws = operator_sinkhorn(np.stack(starts))
+    del starts
+    rho_star = np.eye(dim, dtype=complex) / dim
+    out1 = phi1.apply(rho_star)
+    delta1 = von_neumann_entropy(phi2.apply(out1)) - von_neumann_entropy(out1)
+    ex2 = entropy_exchange(phi2, out1)
+    delta2 = ex2 - map_entropy(phi2)
+    comp21 = phi2.compose(phi1)
+    s1, s2 = map_entropy(phi1), map_entropy(phi2)
+    s21 = map_entropy(comp21)
 
-    def finish(draws):
-        rho_star = np.eye(dim, dtype=complex) / dim
-        out1 = phi1.apply(rho_star)
-        delta1 = von_neumann_entropy(phi2.apply(out1)) - von_neumann_entropy(out1)
-        ex2 = entropy_exchange(phi2, out1)
-        delta2 = ex2 - map_entropy(phi2)
-        comp21 = phi2.compose(phi1)
-        s1, s2 = map_entropy(phi1), map_entropy(phi2)
-        s21 = map_entropy(comp21)
+    bb1, bb2 = Channel(draws[0::2]), Channel(draws[1::2])
+    bout1 = bb1.apply(rho_star)
+    d1 = von_neumann_entropy(bb2.apply(bout1)) - von_neumann_entropy(bout1)
+    d2 = entropy_exchange(bb2, bout1) - map_entropy(bb2)
 
-        bb1, bb2 = Channel(draws[0::2]), Channel(draws[1::2])
-        bout1 = bb1.apply(rho_star)
-        d1 = von_neumann_entropy(bb2.apply(bout1)) - von_neumann_entropy(bout1)
-        d2 = entropy_exchange(bb2, bout1) - map_entropy(bb2)
-
-        lhs = entropy_exchange(phi3.compose(comp21), rho_star) + ex2
-        rhs = entropy_exchange(comp21, rho_star) + entropy_exchange(phi3.compose(phi2), out1)
-        return _by_sample(
-            _ineqs("general.lower", s21 - (s1 + delta1), tol),
-            _ineqs("general.upper", s1 + s2 + delta2 - s21, tol),
-            _eqs("general.delta1_vanishes", d1),
-            _eqs("general.delta2_vanishes", d2),
-            _ineqs("exchange.strong_subadditivity", rhs - lhs, tol),
-        )
-
-    return starts, finish
+    lhs = entropy_exchange(phi3.compose(comp21), rho_star) + ex2
+    rhs = entropy_exchange(comp21, rho_star) + entropy_exchange(phi3.compose(phi2), out1)
+    return _by_sample(
+        _ineqs("general.lower", s21 - (s1 + delta1), tol),
+        _ineqs("general.upper", s1 + s2 + delta2 - s21, tol),
+        _eqs("general.delta1_vanishes", d1),
+        _eqs("general.delta2_vanishes", d2),
+        _ineqs("exchange.strong_subadditivity", rhs - lhs, tol),
+    )
 
 
-def _sample_lindblad(dim: int, g, tol: float):
-    def finish():
+def _sample_lindblad(dim: int, gens, tol: float) -> list[list[Check]]:
+    rho_star = np.eye(dim, dtype=complex) / dim
+    out = []
+    for g in gens:
         ch = random_channel(dim, g)
         rho = random_density(dim, g)
         lb = lindblad_bounds(ch, rho)
-        checks = [
-            _ineq("lindblad.lower", lb.actual - lb.lower, tol),
-            _ineq("lindblad.upper", lb.upper - lb.actual, tol),
-            _eq("exchange.purification", lb.exchange - purified_exchange_entropy(ch, rho)),
-        ]
-        rho_star = np.eye(dim, dtype=complex) / dim
         spec_sigma = np.sort(np.linalg.eigvalsh(sigma_hat(ch, rho_star)))
         spec_jam = np.sort(np.linalg.eigvalsh(jam_state(ch)))
         padded = np.zeros(spec_jam.size)
         padded[-spec_sigma.size :] = spec_sigma
-        checks.append(_eq("exchange.tracial_spectrum", np.abs(padded - spec_jam).max()))
-        return checks
-
-    return finish
-
-
-def _sample_data_processing(dim: int, g, tol: float):
-    def finish():
-        ch1 = random_channel(dim, g)
-        ch2 = random_channel(dim, g)
-        rho = random_density(dim, g)
-        i1 = coherent_information(ch1, rho)
-        i21 = coherent_information(ch2.compose(ch1), rho)
-        return [_ineq("data_processing", i1 - i21, tol)]
-
-    return finish
+        out.append(
+            [
+                _ineq("lindblad.lower", lb.actual - lb.lower, tol),
+                _ineq("lindblad.upper", lb.upper - lb.actual, tol),
+                _eq("exchange.purification", lb.exchange - purified_exchange_entropy(ch, rho)),
+                _eq("exchange.tracial_spectrum", np.abs(padded - spec_jam).max()),
+            ]
+        )
+    return out
 
 
-def _sample_classical(dim: int, gens, tol: float):
+def _sample_data_processing(dim: int, gens, tol: float) -> list[list[Check]]:
+    ws, rho = [], []
+    for g in gens:
+        ws += [wishart_choi(dim, g), wishart_choi(dim, g)]
+        rho.append(random_density(dim, g))
+    ch1, ch2 = (Channel(tp_renormalize(np.stack(ws[k::2]))) for k in range(2))
+    del ws
+    rho = np.stack(rho)
+    i1 = coherent_information(ch1, rho)
+    i21 = coherent_information(ch2.compose(ch1), rho)
+    return _by_sample(_ineqs("data_processing", i1 - i21, tol))
+
+
+def _sample_classical(dim: int, gens, tol: float) -> list[list[Check]]:
     t1, t2, p, starts = [], [], [], []
     for g in gens:
         t1.append(random_stochastic(dim, g))
         t2.append(random_stochastic(dim, g))
         p.append(g.dirichlet(np.ones(dim)))
         starts += [positive_matrix(dim, g) for _ in range(3)]
-
-    def finish(draws):
-        t1s, t2s, ps = np.stack(t1), np.stack(t2), np.stack(p)
-        tol_thm = THEOREM_TOL if tol == INEQ_TOL else tol
-        pb = cl.product_bounds(t2s, t1s)
-        sb = cl.slomczynski_bounds(t1s, ps)
-        bs = cl.bistochastic_slacks(draws[0::3], draws[1::3], draws[2::3])
-        em = embedding_defects(t1s, t2s, ps)
-        return _by_sample(
-            _ineqs("product.lower", pb.actual - pb.lower, tol_thm),
-            _ineqs("product.upper", pb.upper - pb.actual, tol_thm),
-            _ineqs("product.upper_weak", pb.upper_weak - pb.actual, tol_thm),
-            _ineqs("transform.lower", sb.actual - sb.lower, tol_thm),
-            _ineqs("transform.upper", sb.upper - sb.actual, tol_thm),
-            _ineqs("transform.upper_weak", sb.upper_weak - sb.actual, tol_thm),
-            _ineqs("bistochastic.subadditivity", bs.subadditivity, tol),
-            _ineqs("bistochastic.symmetric", bs.symmetric, tol),
-            _ineqs("bistochastic.strong", bs.strong, tol),
-            _eqs("bistochastic.delta1_vanishes", bs.delta1),
-            _eqs("bistochastic.delta2_vanishes", bs.delta2),
-            _eqs("embedding.entropy_identity", em.entropy_identity),
-            _eqs("embedding.composition_covariance", em.composition_covariance),
-            _eqs("exchange.classical_identity", em.exchange_identity),
-        )
-
-    return starts, finish
+    draws = matrix_sinkhorn(np.stack(starts))
+    del starts
+    t1, t2, p = np.stack(t1), np.stack(t2), np.stack(p)
+    tol_thm = THEOREM_TOL if tol == INEQ_TOL else tol
+    pb = cl.product_bounds(t2, t1)
+    sb = cl.slomczynski_bounds(t1, p)
+    bs = cl.bistochastic_slacks(draws[0::3], draws[1::3], draws[2::3])
+    em = embedding_defects(t1, t2, p)
+    return _by_sample(
+        _ineqs("product.lower", pb.actual - pb.lower, tol_thm),
+        _ineqs("product.upper", pb.upper - pb.actual, tol_thm),
+        _ineqs("product.upper_weak", pb.upper_weak - pb.actual, tol_thm),
+        _ineqs("transform.lower", sb.actual - sb.lower, tol_thm),
+        _ineqs("transform.upper", sb.upper - sb.actual, tol_thm),
+        _ineqs("transform.upper_weak", sb.upper_weak - sb.actual, tol_thm),
+        _ineqs("bistochastic.subadditivity", bs.subadditivity, tol),
+        _ineqs("bistochastic.symmetric", bs.symmetric, tol),
+        _ineqs("bistochastic.strong", bs.strong, tol),
+        _eqs("bistochastic.delta1_vanishes", bs.delta1),
+        _eqs("bistochastic.delta2_vanishes", bs.delta2),
+        _eqs("embedding.entropy_identity", em.entropy_identity),
+        _eqs("embedding.composition_covariance", em.composition_covariance),
+        _eqs("exchange.classical_identity", em.exchange_identity),
+    )
 
 
-def _sample_statecomp(dim: int, gens, tol: float):
+def _sample_statecomp(dim: int, gens, tol: float) -> list[list[Check]]:
     d2 = dim * dim
     x, y, z, h2, sigma, ws, starts = [], [], [], [], [], [], []
     for g in gens:
@@ -411,39 +385,38 @@ def _sample_statecomp(dim: int, gens, tol: float):
         starts += [wishart_choi(dim, g), wishart_choi(dim, g)]
     x, y, z, h2, sigma = map(np.stack, (x, y, z, h2, sigma))
     js = jam_state(Channel(tp_renormalize(np.stack(ws))))
+    del ws
+    draws = operator_sinkhorn(np.stack(starts))
+    del starts
+    assoc = _max_abs(odot_raw(odot_raw(x, y), z) - odot_raw(x, odot_raw(y, z)))
 
-    def finish(draws):
-        assoc = _max_abs(odot_raw(odot_raw(x, y), z) - odot_raw(x, odot_raw(y, z)))
+    h12 = odot_raw(x - z, h2)
+    xy = odot_raw(x, y)
+    witness = _max_abs(xy - odot_raw(y, x)) - WITNESS_GAP
 
-        h12 = odot_raw(x - z, h2)
-        xy = odot_raw(x, y)
-        witness = _max_abs(xy - odot_raw(y, x)) - WITNESS_GAP
+    neutral = np.broadcast_to(dim * max_entangled_projector(dim), x.shape)
+    dev = _most(_max_abs(odot_raw(x, neutral) - x), _max_abs(odot_raw(neutral, x) - x))
 
-        neutral = np.broadcast_to(dim * max_entangled_projector(dim), x.shape)
-        dev = _most(_max_abs(odot_raw(x, neutral) - x), _max_abs(odot_raw(neutral, x) - x))
+    comp = odot_state(js[1::2], js[0::2])
+    flat = np.eye(dim) / dim
+    trace_dev = np.trace(comp, axis1=-2, axis2=-1) - 1.0
 
-        comp = odot_state(js[1::2], js[0::2])
-        flat = np.eye(dim) / dim
-        trace_dev = np.trace(comp, axis1=-2, axis2=-1) - 1.0
-
-        compb = odot_state(jam_state(Channel(draws[1::2])), jam_state(Channel(draws[0::2])))
-        dev2 = _most(_max_abs(partial_trace(compb, "A") - flat), _max_abs(partial_trace(compb, "B") - flat))
-        return _by_sample(
-            _eqs("algebra.associativity", assoc),
-            _eqs("algebra.hermiticity_closure", _max_abs(h12 - h12.conj().swapaxes(-1, -2))),
-            _ineqs("algebra.positivity_closure", np.linalg.eigvalsh(xy).min(axis=-1), tol),
-            _ineqs("algebra.noncommutativity_witness", witness, tol),
-            _eqs("algebra.neutral_element", dev),
-            _eqs("states.idempotent", _max_abs(odot_state(sigma, sigma) - sigma)),
-            _ineqs("states.not_square_witness", not_square_witness(x) - WITNESS_GAP, tol),
-            _eqs("states.d1_closure", _max_abs(partial_trace(comp, "A") - flat)),
-            # np.abs of a complex array can differ in the last bit from abs() of a
-            # complex scalar; hypot does not
-            _eqs("states.d1_trace", np.hypot(trace_dev.real, trace_dev.imag)),
-            _eqs("states.d2_closure", dev2),
-        )
-
-    return starts, finish
+    compb = odot_state(jam_state(Channel(draws[1::2])), jam_state(Channel(draws[0::2])))
+    dev2 = _most(_max_abs(partial_trace(compb, "A") - flat), _max_abs(partial_trace(compb, "B") - flat))
+    return _by_sample(
+        _eqs("algebra.associativity", assoc),
+        _eqs("algebra.hermiticity_closure", _max_abs(h12 - h12.conj().swapaxes(-1, -2))),
+        _ineqs("algebra.positivity_closure", np.linalg.eigvalsh(xy).min(axis=-1), tol),
+        _ineqs("algebra.noncommutativity_witness", witness, tol),
+        _eqs("algebra.neutral_element", dev),
+        _eqs("states.idempotent", _max_abs(odot_state(sigma, sigma) - sigma)),
+        _ineqs("states.not_square_witness", not_square_witness(x) - WITNESS_GAP, tol),
+        _eqs("states.d1_closure", _max_abs(partial_trace(comp, "A") - flat)),
+        # np.abs of a complex array can differ in the last bit from abs() of a
+        # complex scalar; hypot does not
+        _eqs("states.d1_trace", np.hypot(trace_dev.real, trace_dev.imag)),
+        _eqs("states.d2_closure", dev2),
+    )
 
 
 def _entangled_projector_defect(modes: int) -> float:
@@ -457,68 +430,62 @@ def _entangled_projector_defect(modes: int) -> float:
     return max(proj_dev, marg_dev)
 
 
-def _sample_quasifree(modes: int, gens, tol: float):
+def _sample_quasifree(modes: int, gens, tol: float) -> list[list[Check]]:
     # The identity map's symbol is the same in every sample: one evaluation per batch.
     projector_dev = _entangled_projector_defect(modes)
-    return _each(lambda modes, g, tol: _quasifree_sample(modes, g, tol, projector_dev))(modes, gens, tol)
+    return [_quasifree_sample(modes, g, tol, projector_dev) for g in gens]
 
 
-def _quasifree_sample(modes: int, g, tol: float, projector_dev: float):
-    def finish():
-        b1 = random_qf_map(modes, g, bistochastic=True)
-        b2 = random_qf_map(modes, g, bistochastic=True)
-        s1, s2 = qf.qf_map_entropy(b1), qf.qf_map_entropy(b2)
-        s21 = qf.qf_map_entropy(qf.qf_compose(b2, b1))
-        checks = [
-            _ineq("qf.subadditivity.upper", s1 + s2 - s21, tol),
-            _ineq("qf.subadditivity.lower", s21 - max(s1, s2), tol),
-            _eq("qf.closed_form", s1 - qf.qf_bistochastic_entropy(b1.r)),
-            _eq("qf.adjoint_symmetry", s1 - qf.qf_map_entropy(qf.qf_bistochastic(b1.r.conj().T))),
-        ]
+def _quasifree_sample(modes: int, g, tol: float, projector_dev: float) -> list[Check]:
+    b1 = random_qf_map(modes, g, bistochastic=True)
+    b2 = random_qf_map(modes, g, bistochastic=True)
+    s1, s2 = qf.qf_map_entropy(b1), qf.qf_map_entropy(b2)
+    s21 = qf.qf_map_entropy(qf.qf_compose(b2, b1))
+    checks = [
+        _ineq("qf.subadditivity.upper", s1 + s2 - s21, tol),
+        _ineq("qf.subadditivity.lower", s21 - max(s1, s2), tol),
+        _eq("qf.closed_form", s1 - qf.qf_bistochastic_entropy(b1.r)),
+        _eq("qf.adjoint_symmetry", s1 - qf.qf_map_entropy(qf.qf_bistochastic(b1.r.conj().T))),
+    ]
 
-        m1 = random_qf_map(modes, g)
-        m2 = random_qf_map(modes, g)
-        m21 = qf.qf_compose(m2, m1)
-        q = random_symbol(modes, g)
-        oracle = np.abs(qf.qf_apply(m21, q) - qf.qf_apply(m2, qf.qf_apply(m1, q))).max()
-        checks.append(_eq("qf.compose_oracle", oracle))
-        j1 = qf.qf_jam_symbol(m1)
-        odot_dev = np.abs(qf.qf_odot_symbol(qf.qf_jam_symbol(m2), j1) - qf.qf_jam_symbol(m21)).max()
-        checks.append(_eq("qf.odot_oracle", odot_dev))
+    m1 = random_qf_map(modes, g)
+    m2 = random_qf_map(modes, g)
+    m21 = qf.qf_compose(m2, m1)
+    q = random_symbol(modes, g)
+    oracle = np.abs(qf.qf_apply(m21, q) - qf.qf_apply(m2, qf.qf_apply(m1, q))).max()
+    checks.append(_eq("qf.compose_oracle", oracle))
+    j1 = qf.qf_jam_symbol(m1)
+    odot_dev = np.abs(qf.qf_odot_symbol(qf.qf_jam_symbol(m2), j1) - qf.qf_jam_symbol(m21)).max()
+    checks.append(_eq("qf.odot_oracle", odot_dev))
 
-        jam_vals = np.linalg.eigvalsh(j1)
-        checks.append(_ineq("qf.jam_validity", min(jam_vals.min(), 1.0 - jam_vals.max()), tol))
-        checks.append(_eq("qf.entangled_projector", projector_dev))
+    jam_vals = np.linalg.eigvalsh(j1)
+    checks.append(_ineq("qf.jam_validity", min(jam_vals.min(), 1.0 - jam_vals.max()), tol))
+    checks.append(_eq("qf.entangled_projector", projector_dev))
 
-        if modes <= qf.MODE_LIMIT:
-            qs = random_symbol(modes, g)
-            fock_dev = von_neumann_entropy(qf.fock_density(qs)) - qf.qf_state_entropy(qs)
-            checks.append(_eq("qf.fock_entropy", fock_dev))
-        return checks
-
-    return finish
+    if modes <= qf.MODE_LIMIT:
+        qs = random_symbol(modes, g)
+        fock_dev = von_neumann_entropy(qf.fock_density(qs)) - qf.qf_state_entropy(qs)
+        checks.append(_eq("qf.fock_entropy", fock_dev))
+    return checks
 
 
-def _sample_power_subadd(dim: int, gens, tol: float):
-    def finish(draws):
-        ch = Channel(draws)
-        s = map_entropy(ch)
-        worst = math.inf
-        power = ch
-        for n in range(2, 6):
-            power = power.compose(ch)
-            worst = _least(worst, n * s - map_entropy(power))
-        return _by_sample(_ineqs("power.subadditivity", worst, tol))
-
-    return [wishart_choi(dim, g) for g in gens], finish
+def _sample_power_subadd(dim: int, gens, tol: float) -> list[list[Check]]:
+    ch = Channel(operator_sinkhorn(np.stack([wishart_choi(dim, g) for g in gens])))
+    s = map_entropy(ch)
+    worst = math.inf
+    power = ch
+    for n in range(2, 6):
+        power = power.compose(ch)
+        worst = _least(worst, n * s - map_entropy(power))
+    return _by_sample(_ineqs("power.subadditivity", worst, tol))
 
 
 SUITES = {
     "dynsub_bistochastic": (_sample_dynsub_bistochastic, (2, 3), 1000),
     "strong_dynsub": (_sample_strong_dynsub, (2, 3), 500),
     "dynsub_general": (_sample_dynsub_general, (2, 3), 1000),
-    "lindblad": (_each(_sample_lindblad), (2, 3), 500),
-    "data_processing": (_each(_sample_data_processing), (2, 3), 500),
+    "lindblad": (_sample_lindblad, (2, 3), 500),
+    "data_processing": (_sample_data_processing, (2, 3), 500),
     "classical": (_sample_classical, (2, 3, 4, 5, 6), 1000),
     "statecomp_algebra": (_sample_statecomp, (2, 3), 500),
     "quasifree": (_sample_quasifree, (4, 64), 1000),
@@ -535,16 +502,11 @@ def evaluate_samples(
 ) -> list[list[Check]]:
     """Evaluate the checks of the samples ``indices``, in their order.
 
-    Each sample draws from its own ``RngStream(seed, index)``; one Sinkhorn
-    call then scales the starts of the whole batch, and the suite finishes
-    the batch on the draws.
+    Each sample draws from its own ``RngStream(seed, index)``, and the suite
+    evaluates the batch at once.
     """
-    sample = SUITES[suite][0]
-    starts, finish = sample(dim, [RngStream(seed, index).generator() for index in indices], tol)
-    scale = matrix_sinkhorn if suite == "classical" else operator_sinkhorn
-    draws = scale(np.stack(starts)) if starts else []
-    del starts  # the second phase needs only the draws: free the starts before it
-    return finish(draws)
+    gens = [RngStream(seed, index).generator() for index in indices]
+    return SUITES[suite][0](dim, gens, tol)
 
 
 def evaluate_sample(suite: str, dim: int, seed: int, index: int, tol: float = INEQ_TOL) -> list[Check]:
@@ -568,6 +530,8 @@ def run_suite(
         raise DomainError(
             f"{suite} needs dim at least {min_dim} and samples at least 1, got {dim} and {samples}"
         )
+    if not (math.isfinite(tol) and tol >= 0):
+        raise DomainError(f"tol must be finite and nonnegative, got {tol}")
     start = time.perf_counter()
     results = [
         checks

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import Channel
-from .errors import ConvergenceError
+from .errors import ConvergenceError, DomainError
 from .matcore import _square_side, hermitian_part, partial_trace, psd_inv_sqrt, psd_sqrt
 from .quasifree import QFMap, qf_bistochastic, qf_extreme
 
@@ -25,6 +25,12 @@ class RngStream:
 
     master_seed: int
     stream_index: int = 0
+
+    def __post_init__(self):
+        if self.master_seed < 0 or self.stream_index < 0:
+            raise DomainError(
+                f"seed and index must be nonnegative, got {self.master_seed} and {self.stream_index}"
+            )
 
     def generator(self) -> np.random.Generator:
         seq = np.random.SeedSequence(self.master_seed, spawn_key=(self.stream_index,))

@@ -52,7 +52,7 @@ def dephasing():
 def test_identity_channel_choi_and_flags():
     ch = Channel.from_superop(np.eye(9))
     assert np.abs(ch.choi - 3 * max_entangled_projector(3)).max() < 1e-14
-    assert ch.revalidate() == (True, True, True)
+    assert (ch.is_cp, ch.is_tp, ch.is_unital) == (True, True, True)
 
 
 def test_superop_round_trip():
@@ -220,7 +220,7 @@ def test_adjoint_intertwines_composition():
 
 def test_flags_identity():
     ch = Channel(identity_channel(2).choi)
-    assert ch.revalidate() == (True, True, True)
+    assert (ch.is_cp, ch.is_tp, ch.is_unital) == (True, True, True)
     named = (
         identity_channel(3),
         depolarizing_channel(3),
@@ -235,7 +235,7 @@ def test_flags_identity():
 def test_flags_contraction_not_unital():
     rho0 = random_density(2, 25)
     ch = Channel(contraction_channel(rho0).choi)
-    assert ch.revalidate() == (True, True, False)
+    assert (ch.is_cp, ch.is_tp, ch.is_unital) == (True, True, False)
     for ch in (contraction_channel(rho0), diag_channel_from_stochastic(random_stochastic(3, 53))):
         assert (ch.is_cp, ch.is_tp, ch.is_unital) == (True, True, False)
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from dynsub import harness
 from dynsub.channels import depolarizing_channel, identity_channel
 from dynsub.cli import main
 from dynsub.harness import SUITES
@@ -131,11 +132,13 @@ def test_verify_single_suite(tmp_path, capsys):
     assert out_path.read_text() == out
 
 
-def test_exit_code_1_on_violation(capsys):
-    # an impossible negative slack tolerance forces every inequality to fail
+def test_exit_code_1_on_violation(capsys, monkeypatch):
+    # a witness gap wider than any pair of density matrices can show forces
+    # both witness checks to fail
+    monkeypatch.setattr(harness, "WITNESS_GAP", 10.0)
     code, out = run_cli(
-        capsys, "verify", "--suite", "power_subadd", "--dim", "2",
-        "--samples", "3", "--seed", "1", "--tol", "-1",
+        capsys, "verify", "--suite", "statecomp_algebra", "--dim", "2",
+        "--samples", "3", "--seed", "1",
     )
     assert code == 1
     assert json.loads(out)["pass"] is False
@@ -160,13 +163,48 @@ def test_exit_code_2_on_invalid_object(tmp_path, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("dim, samples", [("2", "0"), ("2", "-1"), ("0", "2"), ("-2", "2")])
-def test_exit_code_2_on_bad_verify_grid(capsys, dim, samples):
-    code = main(["verify", "--suite", "lindblad", "--dim", dim, "--samples", samples])
+def assert_exits_2(capsys, *argv):
+    code = main(list(argv))
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        pytest.param(["--dim", "2", "--samples", "0"], id="2-0"),
+        pytest.param(["--dim", "2", "--samples", "-1"], id="2--1"),
+        pytest.param(["--dim", "0", "--samples", "2"], id="0-2"),
+        pytest.param(["--dim", "-2", "--samples", "2"], id="-2-2"),
+        pytest.param(["--samples", "2", "--seed", "-1"], id="seed--1"),
+        pytest.param(["--samples", "2", "--tol", "nan"], id="tol-nan"),
+        pytest.param(["--samples", "2", "--tol", "inf"], id="tol-inf"),
+        pytest.param(["--samples", "2", "--tol", "-1"], id="tol--1"),
+    ],
+)
+def test_exit_code_2_on_bad_verify_grid(capsys, args):
+    assert_exits_2(capsys, "verify", "--suite", "lindblad", *args)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["channel", "--seed", "-1"],
+        ["channel", "--index", "-1"],
+        ["channel", "--dim", "0"],
+        ["channel", "--dim", "-1"],
+        ["channel", "--dim", "0", "--bistochastic"],
+        ["matrix", "--dim", "0"],
+        ["matrix", "--dim", "0", "--bistochastic"],
+        ["qfmap", "--modes", "0"],
+        ["qfmap", "--seed", "-1"],
+    ],
+    ids=" ".join,
+)
+def test_exit_code_2_on_bad_random_draw(capsys, args):
+    assert_exits_2(capsys, "random", *args)
 
 
 def test_statecomp_algebra_at_dim_1_exits_2(capsys):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -66,8 +67,9 @@ def _count_calls(monkeypatch, modules, name):
 
 
 def test_classical_eta_calls_do_not_grow_with_the_batch(monkeypatch):
-    # Only the exchange entropy, taken per sample on the Kraus route, adds one
-    # eta call per sample; the stacked kernels make the same calls for any B.
+    # Only the exchange entropy, taken on the Kraus route once per chunk of
+    # EMBED_CHUNK samples, adds one eta call per chunk; the other stacked
+    # kernels make the same calls for any B.
     eta = _count_calls(monkeypatch, [matcore, classical], "eta")
     exchange = _count_calls(monkeypatch, [channels], "entropy_exchange")
     stacked = {}
@@ -75,7 +77,7 @@ def test_classical_eta_calls_do_not_grow_with_the_batch(monkeypatch):
         eta.clear()
         exchange.clear()
         evaluate_samples("classical", 3, 5, range(size))
-        assert len(exchange) == size
+        assert len(exchange) == math.ceil(size / channels.EMBED_CHUNK)
         stacked[size] = len(eta) - len(exchange)
     assert stacked[8] == stacked[64] < 26  # 26 eta calls per sample before stacking
 
@@ -90,20 +92,28 @@ def test_lindblad_sample_builds_two_sigma_hats(monkeypatch):
 
 @pytest.mark.parametrize(
     "suite, scaler, rows",
-    [("dynsub_bistochastic", "operator_sinkhorn", 24), ("classical", "matrix_sinkhorn", 24)],
+    [
+        ("dynsub_bistochastic", "operator_sinkhorn", 24),
+        ("strong_dynsub", "operator_sinkhorn", 24),
+        ("dynsub_general", "operator_sinkhorn", 16),
+        ("statecomp_algebra", "operator_sinkhorn", 16),
+        ("power_subadd", "operator_sinkhorn", 8),
+        ("classical", "matrix_sinkhorn", 24),
+        ("lindblad", None, 0),
+        ("data_processing", None, 0),
+        ("quasifree", None, 0),
+    ],
 )
 def test_a_batch_makes_one_sinkhorn_call(suite, scaler, rows, monkeypatch):
+    # 8 samples; a suite with Sinkhorn draws scales all of them in one call
     calls = []
     for name in ("operator_sinkhorn", "matrix_sinkhorn"):
         original = getattr(harness, name)
         monkeypatch.setattr(
             harness, name, lambda w, name=name, f=original: calls.append((name, len(w))) or f(w)
         )
-    evaluate_samples(suite, 2, 17, range(8))  # 8 samples, 3 Sinkhorn draws each
-    assert calls == [(scaler, rows)]
-    calls.clear()
-    evaluate_samples("lindblad", 2, 17, range(8))
-    assert calls == []
+    evaluate_samples(suite, 2, 17, range(8))
+    assert calls == ([(scaler, rows)] if scaler else [])
 
 
 def test_statecomp_algebra_refuses_dim_1():

@@ -324,6 +324,10 @@ def test_channel_kernels_are_stack_polymorphic(n, size):
         channels.entropy_exchange(stack1, rho[0]),
         [channels.entropy_exchange(c, rho[0]) for c in singles1],
     )
+    assert_members(
+        channels.coherent_information(composed, rho),
+        [channels.coherent_information(b.compose(a), r) for a, b, r in zip(singles1, singles2, rho)],
+    )
 
 
 @pytest.mark.parametrize("n", (2, 3))
