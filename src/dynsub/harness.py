@@ -335,7 +335,10 @@ def _sample_data_processing(dim: int, gens, tol: float) -> list[list[Check]]:
     del ws
     rho = np.stack(rho)
     i1 = coherent_information(ch1, rho)
-    i21 = coherent_information(ch2.compose(ch1), rho)
+    # Free ch1's and ch2's cached eigendecompositions and Kraus stacks before i21.
+    ch21 = ch2.compose(ch1)
+    del ch1, ch2
+    i21 = coherent_information(ch21, rho)
     return _by_sample(_ineqs("data_processing", i1 - i21, tol))
 
 
@@ -439,13 +442,18 @@ def _sample_quasifree(modes: int, gens, tol: float) -> list[list[Check]]:
 def _quasifree_sample(modes: int, g, tol: float, projector_dev: float) -> list[Check]:
     b1 = random_qf_map(modes, g, bistochastic=True)
     b2 = random_qf_map(modes, g, bistochastic=True)
-    s1, s2 = qf.qf_map_entropy(b1), qf.qf_map_entropy(b2)
-    s21 = qf.qf_map_entropy(qf.qf_compose(b2, b1))
+    # S(Phi_1) from the 2N-mode symbol's spectrum; S(Phi_2) and S(Phi_2 Phi_1)
+    # from the closed form in R's singular values.  qf_compose(b2, b1) is the
+    # bistochastic map of R_1 R_2.
+    s1 = qf.qf_map_entropy(b1)
+    s2 = qf.qf_bistochastic_entropy(b2)
+    s21 = qf.qf_bistochastic_entropy(qf.qf_bistochastic(b1.r @ b2.r))
+    adjoint = qf.qf_bistochastic(b1.r.conj().T, sigma=b1.sigma)
     checks = [
         _ineq("qf.subadditivity.upper", s1 + s2 - s21, tol),
         _ineq("qf.subadditivity.lower", s21 - max(s1, s2), tol),
-        _eq("qf.closed_form", s1 - qf.qf_bistochastic_entropy(b1.r)),
-        _eq("qf.adjoint_symmetry", s1 - qf.qf_map_entropy(qf.qf_bistochastic(b1.r.conj().T))),
+        _eq("qf.closed_form", s1 - qf.qf_bistochastic_entropy(b1)),
+        _eq("qf.adjoint_symmetry", s1 - qf.qf_map_entropy(adjoint)),
     ]
 
     m1 = random_qf_map(modes, g)

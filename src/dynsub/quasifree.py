@@ -10,14 +10,20 @@ The analogue of the Jamiolkowski state is the 2N-mode symbol
 
     1/2 [[1, R], [R^dag, R^dag R + 2 Z]]
 
-whose entropy is the entropy of the map.  ``fock_density`` realizes a
-symbol as an explicit 2**N-dimensional density matrix for small N.
+whose entropy is the entropy of the map.  For a bistochastic map the symbol
+is 1/2 [[1, R], [R^dag, 1]] with eigenvalues (1 +- s_j)/2 over the singular
+values s_j of R, so its entropy has a closed form in them
+(``qf_bistochastic_entropy``); a ``QFMap`` computes them once and keeps
+them.  Two bistochastic maps compose to the bistochastic map of
+R_earlier R_later.  ``fock_density`` realizes a symbol as an explicit
+2**N-dimensional density matrix for small N.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -58,12 +64,33 @@ def validate_symbol(q: np.ndarray, tol: float = SYMBOL_TOL) -> np.ndarray:
     return q
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a = a.view()
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class QFMap:
-    """A quasi-free channel, stored as the defining pair (R, Z)."""
+    """A quasi-free channel, stored as the defining pair (R, Z).
+
+    A constructor that has already computed R's singular values passes them
+    as ``known_sigma``; otherwise :attr:`sigma` computes them on first use,
+    the way ``Channel`` computes its ``jam_spectrum``.
+    """
 
     r: np.ndarray
     z: np.ndarray
+    known_sigma: InitVar[np.ndarray | None] = None
+
+    def __post_init__(self, known_sigma):
+        if known_sigma is not None:
+            self.__dict__["sigma"] = _read_only(known_sigma)
+
+    @cached_property
+    def sigma(self) -> np.ndarray:
+        """Singular values of R, descending; computed once, read-only."""
+        return _read_only(singular_values(self.r))
 
     @property
     def modes(self) -> int:
@@ -108,11 +135,21 @@ def qf_compose(later: QFMap, earlier: QFMap) -> QFMap:
     return QFMap(r, z)
 
 
+def _half_symbol(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """The 2N-mode symbol [[1, upper], [upper^dag, lower]]/2, filled in place."""
+    n = upper.shape[0]
+    sym = np.zeros((2 * n, 2 * n), dtype=complex)
+    sym[:n, :n] = np.eye(n)
+    sym[:n, n:] = upper
+    sym[n:, :n] = upper.conj().T
+    sym[n:, n:] = lower
+    sym *= 0.5
+    return sym
+
+
 def qf_jam_symbol(m: QFMap) -> np.ndarray:
     """The 2N-mode symbol encoding the map, block form [[1, R], [R^dag, R^dag R + 2Z]]/2."""
-    n = m.modes
-    lower = hermitian_part(m.r.conj().T @ m.r + 2 * m.z)
-    return 0.5 * np.block([[np.eye(n, dtype=complex), m.r], [m.r.conj().T, lower]])
+    return _half_symbol(m.r, hermitian_part(m.r.conj().T @ m.r + 2 * m.z))
 
 
 def _split_blocks(sym: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -136,10 +173,8 @@ def qf_odot_symbol(later_sym: np.ndarray, earlier_sym: np.ndarray, tol: float = 
     e1, e2 = _split_blocks(earlier_sym, tol)
     if l1.shape != e1.shape:
         raise DimensionError(f"operand mode counts differ: {l1.shape[0]} vs {e1.shape[0]}")
-    n = l1.shape[0]
-    t1 = e1 @ l1
-    t2 = hermitian_part(l1.conj().T @ (e2 - np.eye(n)) @ l1 + l2)
-    return 0.5 * np.block([[np.eye(n, dtype=complex), t1], [t1.conj().T, t2]])
+    t2 = hermitian_part(l1.conj().T @ (e2 - np.eye(l1.shape[0])) @ l1 + l2)
+    return _half_symbol(e1 @ l1, t2)
 
 
 def qf_state_entropy(q: np.ndarray, tol: float = SYMBOL_TOL) -> float:
@@ -153,10 +188,22 @@ def qf_map_entropy(m: QFMap) -> float:
     return qf_state_entropy(qf_jam_symbol(m))
 
 
-def qf_bistochastic_entropy(r: np.ndarray) -> float:
+def _require_contraction(sigma: np.ndarray, tol: float) -> None:
+    if sigma.max() > 1 + tol:
+        raise NormError("R has operator norm above 1")
+
+
+def qf_bistochastic_entropy(r: np.ndarray | QFMap, tol: float = SYMBOL_TOL) -> float:
     """Closed form for bistochastic maps: 2 sum_j eta((1+l_j)/2) + eta((1-l_j)/2)
-    over the singular values l_j of R."""
-    lam = np.clip(singular_values(r), 0.0, 1.0)
+    over the singular values l_j of R.
+
+    Takes R, or a map whose cached singular values it reads.  The symbol's
+    eigenvalues (1 +- l_j)/2 lie in [0, 1] iff l_j <= 1, so an operator norm
+    of R above 1 + tol raises :class:`NormError`.
+    """
+    lam = r.sigma if isinstance(r, QFMap) else singular_values(r)
+    _require_contraction(lam, tol)
+    lam = np.clip(lam, 0.0, 1.0)
     return float(2 * np.sum(eta((1 + lam) / 2) + eta((1 - lam) / 2)))
 
 
@@ -168,13 +215,17 @@ def qf_extreme_entropy(r: np.ndarray, p: np.ndarray) -> float:
     return qf_state_entropy(sym, tol=1e-8)
 
 
-def qf_bistochastic(r: np.ndarray, tol: float = SYMBOL_TOL) -> QFMap:
-    """The bistochastic map with Z = (1 - R^dag R)/2; requires ||R|| <= 1."""
+def qf_bistochastic(r: np.ndarray, tol: float = SYMBOL_TOL, sigma: np.ndarray | None = None) -> QFMap:
+    """The bistochastic map with Z = (1 - R^dag R)/2; requires ||R|| <= 1.
+
+    ``sigma``, when given, is R's singular values, already computed: the
+    adjoint R^dag of a map's R shares them.
+    """
     r = _as_square(np.asarray(r, dtype=complex))
-    if singular_values(r).max() > 1 + tol:
-        raise NormError("R has operator norm above 1")
+    sigma = singular_values(r) if sigma is None else sigma
+    _require_contraction(sigma, tol)
     z = hermitian_part(np.eye(r.shape[0]) - r.conj().T @ r) / 2
-    return QFMap(r, z)
+    return QFMap(r, z, sigma)
 
 
 def qf_extreme(r: np.ndarray, p: np.ndarray, tol: float = SYMBOL_TOL) -> QFMap:
@@ -183,12 +234,12 @@ def qf_extreme(r: np.ndarray, p: np.ndarray, tol: float = SYMBOL_TOL) -> QFMap:
     p = _as_square(np.asarray(p, dtype=complex))
     if p.shape != r.shape:
         raise DimensionError(f"P shape {p.shape} does not match R shape {r.shape}")
-    if singular_values(r).max() > 1 + tol:
-        raise NormError("R has operator norm above 1")
+    sigma = singular_values(r)
+    _require_contraction(sigma, tol)
     if hermiticity_defect(p) > tol or np.abs(p @ p - p).max() > 1e-8:
         raise ProjectorError("P is not an orthogonal projector within tolerance")
     w = psd_sqrt(np.eye(r.shape[0]) - r.conj().T @ r)
-    return QFMap(r, hermitian_part(w @ p @ w))
+    return QFMap(r, hermitian_part(w @ p @ w), sigma)
 
 
 # -- Fock-space realization --------------------------------------------------

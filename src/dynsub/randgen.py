@@ -211,7 +211,7 @@ def random_symbol(n: int, rng) -> np.ndarray:
 
 
 def random_contraction(n: int, rng) -> np.ndarray:
-    """Ginibre matrix rescaled to operator norm uniform in (0, 1]."""
+    """Ginibre matrix rescaled to operator norm uniform in [0, 1)."""
     g = _gen(rng)
     gm = ginibre(n, g)
     top = np.linalg.svd(gm, compute_uv=False)[0]

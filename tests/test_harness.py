@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dynsub import channels, classical, harness, matcore
+from dynsub import quasifree as qf
 from dynsub.errors import DomainError
 from dynsub.harness import SUITES, evaluate_sample, evaluate_samples, run_all, run_suite
 
@@ -88,6 +89,34 @@ def test_lindblad_sample_builds_two_sigma_hats(monkeypatch):
     calls = _count_calls(monkeypatch, [channels, harness], "sigma_hat")
     evaluate_sample("lindblad", 2, 42, 0)
     assert len(calls) == 2
+
+
+# SVDs per 64-mode quasifree sample at seed 42: one in each of the four
+# random contractions, one per bistochastic map's norm check, one for
+# S(Phi_2 Phi_1) on R_1 R_2, and one per extreme map among the two general
+# draws (an interior draw needs none).  Samples 0, 3 and 5 draw no extreme
+# map, 1 draws one and 2 and 4 draw two.
+QF64_SVDS = {0: 7, 1: 8, 2: 9, 3: 7, 4: 9, 5: 7}
+
+
+def test_quasifree_64_lapack_budget(monkeypatch):
+    # S(Phi_1), the adjoint's entropy and qf.jam_validity diagonalize a
+    # 128x128 symbol; S(Phi_2) and S(Phi_2 Phi_1) come from singular values.
+    shapes = {"eigvalsh": [], "svd": [], "block": []}
+    for module, name in ((np.linalg, "eigvalsh"), (np.linalg, "svd"), (np, "block")):
+
+        def counted(a, *args, f=getattr(module, name), calls=shapes[name], **kwargs):
+            calls.append(getattr(a, "shape", None))
+            return f(a, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    for index, svds in QF64_SVDS.items():
+        for calls in shapes.values():
+            calls.clear()
+        evaluate_sample("quasifree", 64, 42, index)
+        assert shapes["eigvalsh"] == [(128, 128)] * 3, index
+        assert shapes["svd"] == [(64, 64)] * svds, index
+        assert shapes["block"] == [], index
 
 
 @pytest.mark.parametrize(
@@ -261,3 +290,60 @@ def test_sinkhorn_starts_keep_their_draw_order(suite, monkeypatch):
         )
     evaluate_sample(suite, DRAW_ORDER_PINS[suite][0], 42, 0)
     assert traces == pytest.approx(START_TRACE_PINS[suite], rel=1e-9)
+
+
+# Negative controls: each quasifree check that compares two routes fails when
+# one route is off by 1e-6.  The subadditivity bounds have margins far above
+# 1e-6 on random draws, so their controls run at the equality case Phi_2 = id,
+# where S(Phi_2) = 0 and S(Phi_2 Phi_1) = S(Phi_1).
+
+
+def _record_qf_draws(monkeypatch, phi2_identity):
+    """The maps the quasifree suite draws, recorded as drawn."""
+    drawn, bistochastic_draws = [], []
+    original = harness.random_qf_map
+
+    def draw(modes, g, bistochastic=False):
+        m = original(modes, g, bistochastic)
+        if bistochastic:
+            bistochastic_draws.append(m)
+            if phi2_identity and len(bistochastic_draws) % 2 == 0:
+                m = qf.qf_bistochastic(np.eye(modes))
+        drawn.append(m)
+        return m
+
+    monkeypatch.setattr(harness, "random_qf_map", draw)
+    return drawn
+
+
+@pytest.mark.parametrize(
+    "check, route, shift, on_drawn, phi2_identity",
+    [
+        # S(Phi_1) from the symbol spectrum vs the closed form on sigma(R_1)
+        ("qf.closed_form", "qf_bistochastic_entropy", 1e-6, True, False),
+        # S(Phi_1) vs the symbol spectrum of the adjoint map R_1^dag
+        ("qf.adjoint_symmetry", "qf_map_entropy", 1e-6, False, False),
+        # S(Phi_1) + S(Phi_2) from two routes vs the closed form on sigma(R_1 R_2)
+        ("qf.subadditivity.upper", "qf_bistochastic_entropy", 1e-6, False, True),
+        ("qf.subadditivity.lower", "qf_bistochastic_entropy", -1e-6, False, True),
+    ],
+)
+def test_quasifree_check_fails_when_one_route_is_off(
+    check, route, shift, on_drawn, phi2_identity, monkeypatch
+):
+    drawn = _record_qf_draws(monkeypatch, phi2_identity)
+    control = run_suite("quasifree", 4, 8, 42)
+    assert control.passed
+    if phi2_identity:
+        assert abs(control.checks[check]) < 1e-12  # the bound holds with equality
+
+    # Shift the route on the drawn maps only, or on the maps derived from them only.
+    original = getattr(qf, route)
+    monkeypatch.setattr(
+        qf, route,
+        lambda m, *a: original(m, *a) + (shift if any(m is d for d in drawn) == on_drawn else 0.0),
+    )
+    report = run_suite("quasifree", 4, 8, 42)
+    failed = {name for name, slack in report.checks.items()
+              if slack < -harness.TOLERANCES.get(name, harness.INEQ_TOL)}
+    assert not report.passed and failed == {check}

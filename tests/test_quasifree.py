@@ -11,7 +11,7 @@ from dynsub.errors import (
     ProjectorError,
     SingularSymbolError,
 )
-from dynsub.matcore import von_neumann_entropy
+from dynsub.matcore import hermitian_part, singular_values, von_neumann_entropy
 from dynsub.quasifree import (
     QFMap,
     _compound,
@@ -194,6 +194,39 @@ def test_odot_symbol_depolarizer_absorbs():
     assert np.abs(out2[:3, 3:]).max() < 1e-12  # R-block vanishes: constant map
 
 
+def _old_jam_symbol(m):
+    n = m.modes
+    lower = hermitian_part(m.r.conj().T @ m.r + 2 * m.z)
+    return 0.5 * np.block([[np.eye(n, dtype=complex), m.r], [m.r.conj().T, lower]])
+
+
+def _old_odot_symbol(later_sym, earlier_sym):
+    n = later_sym.shape[0] // 2
+    l1, l2 = 2 * later_sym[:n, n:], 2 * later_sym[n:, n:]
+    e1, e2 = 2 * earlier_sym[:n, n:], 2 * earlier_sym[n:, n:]
+    t1 = e1 @ l1
+    t2 = hermitian_part(l1.conj().T @ (e2 - np.eye(n)) @ l1 + l2)
+    return 0.5 * np.block([[np.eye(n, dtype=complex), t1], [t1.conj().T, t2]])
+
+
+def test_symbols_are_bitwise_the_block_expressions():
+    # The former np.block forms are the oracle: filling one array in place and
+    # halving it must give every bit, signed zeros included.
+    g = np.random.default_rng(41)
+    pairs = [(identity_map(3), depolarizer(3)), (QFMap(np.eye(2), np.zeros((2, 2))), depolarizer(2))]
+    for index in range(90):
+        n = (1, 2, 3, 4, 5, 6, 7, 8, 64)[index % 9]
+        pairs.append((random_qf_map(n, g, bistochastic=index % 2 == 0), random_qf_map(n, g)))
+    for m1, m2 in pairs:
+        j1, j2 = qf_jam_symbol(m1), qf_jam_symbol(m2)
+        for new, old in [
+            (j1, _old_jam_symbol(m1)),
+            (j2, _old_jam_symbol(m2)),
+            (qf_odot_symbol(j2, j1), _old_odot_symbol(j2, j1)),
+        ]:
+            assert new.dtype == old.dtype and new.tobytes() == old.tobytes(), m1.modes
+
+
 def test_odot_symbol_rejects_bad_block_form():
     with pytest.raises(BlockFormError):
         qf_odot_symbol(np.eye(6) / 3, np.eye(6) / 2)
@@ -239,6 +272,56 @@ def test_extreme_closed_form():
         p = random_projector(3, 400 + seed)
         m = qf_extreme(r, p)
         assert abs(qf_map_entropy(m) - qf_extreme_entropy(r, p)) < 1e-8
+
+
+def test_closed_form_refuses_a_norm_above_one():
+    r = random_contraction(4, 26)
+    r = r / singular_values(r)[0] * (1 + 1e-6)
+    with pytest.raises(NormError):
+        qf_bistochastic_entropy(r)
+    with pytest.raises(NormError):
+        qf_bistochastic_entropy(QFMap(r, np.zeros((4, 4))))
+    # Within the tolerance the singular values are clipped to 1.
+    assert qf_bistochastic_entropy(r / (1 + 1e-6) * (1 + 1e-10)) >= 0
+
+
+def _bistochastic_pairs(modes, count, seed):
+    g = np.random.default_rng(seed)
+    for index in range(count):
+        n = modes[index % len(modes)]
+        yield random_qf_map(n, g, bistochastic=True), random_qf_map(n, g, bistochastic=True)
+
+
+@pytest.mark.parametrize("modes", [range(1, 9), [64]], ids=["modes1-8", "modes64"])
+def test_bistochastic_composition_is_the_map_of_the_product(modes):
+    # Z = (1 - R^dag R)/2 is kept by composition, and R_21 = R_1 R_2, so the
+    # harness takes S(Phi_2 Phi_1) from the closed form on R_1 R_2.
+    for b1, b2 in _bistochastic_pairs(modes, 200, 43):
+        composed = qf_compose(b2, b1)
+        product = qf_bistochastic(b1.r @ b2.r)
+        assert composed.r.tobytes() == product.r.tobytes()
+        assert np.abs(composed.z - product.z).max() < 1e-12
+        assert abs(qf_bistochastic_entropy(b2) - qf_map_entropy(b2)) < 1e-10
+        assert abs(qf_bistochastic_entropy(product) - qf_map_entropy(composed)) < 1e-10
+
+
+def test_singular_values_are_cached_read_only():
+    for n in (1, 3, 64):
+        m = random_qf_map(n, 27 + n, bistochastic=True)
+        assert m.sigma is m.sigma
+        assert m.sigma.tobytes() == singular_values(m.r).tobytes()
+        with pytest.raises(ValueError):
+            m.sigma[0] = 0.5
+        adjoint = qf_bistochastic(m.r.conj().T, sigma=m.sigma)
+        assert adjoint.sigma.tobytes() == m.sigma.tobytes()
+        assert not adjoint.sigma.flags.writeable
+        # An extreme map caches the singular values of its norm check; any
+        # other map computes them on first use.
+        e = qf_extreme(m.r, random_projector(n, 28))
+        assert e.sigma.tobytes() == singular_values(m.r).tobytes()
+        lazy = qf_compose(m, e)
+        assert lazy.sigma.tobytes() == singular_values(lazy.r).tobytes()
+        assert not lazy.sigma.flags.writeable
 
 
 def test_entropy_invariant_under_adjoint_r():
