@@ -448,7 +448,7 @@ def _quasifree_sample(modes: int, g, tol: float, projector_dev: float) -> list[C
     s1 = qf.qf_map_entropy(b1)
     s2 = qf.qf_bistochastic_entropy(b2)
     s21 = qf.qf_bistochastic_entropy(qf.qf_bistochastic(b1.r @ b2.r))
-    adjoint = qf.qf_bistochastic(b1.r.conj().T, sigma=b1.sigma)
+    adjoint = qf.qf_adjoint(b1)
     checks = [
         _ineq("qf.subadditivity.upper", s1 + s2 - s21, tol),
         _ineq("qf.subadditivity.lower", s21 - max(s1, s2), tol),

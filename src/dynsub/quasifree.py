@@ -15,14 +15,15 @@ is 1/2 [[1, R], [R^dag, 1]] with eigenvalues (1 +- s_j)/2 over the singular
 values s_j of R, so its entropy has a closed form in them
 (``qf_bistochastic_entropy``); a ``QFMap`` computes them once and keeps
 them.  Two bistochastic maps compose to the bistochastic map of
-R_earlier R_later.  ``fock_density`` realizes a symbol as an explicit
-2**N-dimensional density matrix for small N.
+R_earlier R_later, and the bistochastic map of R^dag (``qf_adjoint``)
+shares R's singular values.  ``fock_density`` realizes a symbol as an
+explicit 2**N-dimensional density matrix for small N.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
@@ -74,18 +75,13 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class QFMap:
     """A quasi-free channel, stored as the defining pair (R, Z).
 
-    A constructor that has already computed R's singular values passes them
-    as ``known_sigma``; otherwise :attr:`sigma` computes them on first use,
-    the way ``Channel`` computes its ``jam_spectrum``.
+    :attr:`sigma` computes R's singular values on first use, the way
+    ``Channel`` computes its ``jam_spectrum``.  The constructors of this
+    module that check R's norm fill it with the values of that check.
     """
 
     r: np.ndarray
     z: np.ndarray
-    known_sigma: InitVar[np.ndarray | None] = None
-
-    def __post_init__(self, known_sigma):
-        if known_sigma is not None:
-            self.__dict__["sigma"] = _read_only(known_sigma)
 
     @cached_property
     def sigma(self) -> np.ndarray:
@@ -95,6 +91,12 @@ class QFMap:
     @property
     def modes(self) -> int:
         return self.r.shape[0]
+
+
+def _with_sigma(m: QFMap, sigma: np.ndarray) -> QFMap:
+    """``m`` with its cache filled by ``sigma``, R's singular values as computed here."""
+    m.__dict__["sigma"] = _read_only(sigma)
+    return m
 
 
 def qf_validate(r: np.ndarray, z: np.ndarray, tol: float = SYMBOL_TOL) -> QFMap:
@@ -193,16 +195,16 @@ def _require_contraction(sigma: np.ndarray, tol: float) -> None:
         raise NormError("R has operator norm above 1")
 
 
-def qf_bistochastic_entropy(r: np.ndarray | QFMap, tol: float = SYMBOL_TOL) -> float:
+def qf_bistochastic_entropy(r: np.ndarray | QFMap) -> float:
     """Closed form for bistochastic maps: 2 sum_j eta((1+l_j)/2) + eta((1-l_j)/2)
     over the singular values l_j of R.
 
     Takes R, or a map whose cached singular values it reads.  The symbol's
     eigenvalues (1 +- l_j)/2 lie in [0, 1] iff l_j <= 1, so an operator norm
-    of R above 1 + tol raises :class:`NormError`.
+    of R above 1 + SYMBOL_TOL raises :class:`NormError`.
     """
     lam = r.sigma if isinstance(r, QFMap) else singular_values(r)
-    _require_contraction(lam, tol)
+    _require_contraction(lam, SYMBOL_TOL)
     lam = np.clip(lam, 0.0, 1.0)
     return float(2 * np.sum(eta((1 + lam) / 2) + eta((1 - lam) / 2)))
 
@@ -215,17 +217,30 @@ def qf_extreme_entropy(r: np.ndarray, p: np.ndarray) -> float:
     return qf_state_entropy(sym, tol=1e-8)
 
 
-def qf_bistochastic(r: np.ndarray, tol: float = SYMBOL_TOL, sigma: np.ndarray | None = None) -> QFMap:
-    """The bistochastic map with Z = (1 - R^dag R)/2; requires ||R|| <= 1.
+def _bistochastic_z(r: np.ndarray) -> np.ndarray:
+    return hermitian_part(np.eye(r.shape[0]) - r.conj().T @ r) / 2
 
-    ``sigma``, when given, is R's singular values, already computed: the
-    adjoint R^dag of a map's R shares them.
-    """
+
+def qf_bistochastic(r: np.ndarray, tol: float = SYMBOL_TOL) -> QFMap:
+    """The bistochastic map with Z = (1 - R^dag R)/2; requires ||R|| <= 1."""
     r = _as_square(np.asarray(r, dtype=complex))
-    sigma = singular_values(r) if sigma is None else sigma
+    sigma = singular_values(r)
     _require_contraction(sigma, tol)
-    z = hermitian_part(np.eye(r.shape[0]) - r.conj().T @ r) / 2
-    return QFMap(r, z, sigma)
+    return _with_sigma(QFMap(r, _bistochastic_z(r)), sigma)
+
+
+def qf_adjoint(m: QFMap) -> QFMap:
+    """The bistochastic map of R^dag, for a bistochastic map ``m`` of R.
+
+    On centered symbols X = Q - 1/2, ``m`` acts as X -> R^dag X R, and its
+    Hilbert-Schmidt adjoint X -> R X R^dag is the bistochastic map of R^dag.
+    R^dag has R's singular values, so the result shares ``m``'s cache, and
+    the norm check reads it instead of a new SVD.  Only ``m``'s R and its
+    singular values are read.
+    """
+    _require_contraction(m.sigma, SYMBOL_TOL)
+    r = m.r.conj().T
+    return _with_sigma(QFMap(r, _bistochastic_z(r)), m.sigma)
 
 
 def qf_extreme(r: np.ndarray, p: np.ndarray, tol: float = SYMBOL_TOL) -> QFMap:
@@ -239,7 +254,7 @@ def qf_extreme(r: np.ndarray, p: np.ndarray, tol: float = SYMBOL_TOL) -> QFMap:
     if hermiticity_defect(p) > tol or np.abs(p @ p - p).max() > 1e-8:
         raise ProjectorError("P is not an orthogonal projector within tolerance")
     w = psd_sqrt(np.eye(r.shape[0]) - r.conj().T @ r)
-    return QFMap(r, hermitian_part(w @ p @ w), sigma)
+    return _with_sigma(QFMap(r, hermitian_part(w @ p @ w)), sigma)
 
 
 # -- Fock-space realization --------------------------------------------------

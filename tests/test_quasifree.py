@@ -16,6 +16,7 @@ from dynsub.quasifree import (
     QFMap,
     _compound,
     fock_density,
+    qf_adjoint,
     qf_apply,
     qf_bistochastic,
     qf_bistochastic_entropy,
@@ -312,7 +313,7 @@ def test_singular_values_are_cached_read_only():
         assert m.sigma.tobytes() == singular_values(m.r).tobytes()
         with pytest.raises(ValueError):
             m.sigma[0] = 0.5
-        adjoint = qf_bistochastic(m.r.conj().T, sigma=m.sigma)
+        adjoint = qf_adjoint(m)
         assert adjoint.sigma.tobytes() == m.sigma.tobytes()
         assert not adjoint.sigma.flags.writeable
         # An extreme map caches the singular values of its norm check; any
@@ -322,6 +323,20 @@ def test_singular_values_are_cached_read_only():
         lazy = qf_compose(m, e)
         assert lazy.sigma.tobytes() == singular_values(lazy.r).tobytes()
         assert not lazy.sigma.flags.writeable
+
+
+def test_adjoint_is_the_bistochastic_map_of_r_dagger():
+    for n in (1, 3, 64):
+        m = random_qf_map(n, 29 + n, bistochastic=True)
+        adjoint = qf_adjoint(m)
+        direct = qf_bistochastic(m.r.conj().T)
+        assert adjoint.r.tobytes() == direct.r.tobytes()
+        assert adjoint.z.tobytes() == direct.z.tobytes()
+        assert np.abs(adjoint.sigma - direct.sigma).max() < 1e-12
+    r = random_contraction(4, 30)
+    r = r / singular_values(r)[0] * (1 + 1e-6)
+    with pytest.raises(NormError):
+        qf_adjoint(QFMap(r, np.zeros((4, 4))))
 
 
 def test_entropy_invariant_under_adjoint_r():
