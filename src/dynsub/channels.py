@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -38,6 +39,7 @@ from .matcore import (
     _as_square,
     _float_or_stack,
     _square_side,
+    check_density,
     eig_hermitian,
     hermitian_eigvals,
     hermiticity_defect,
@@ -79,12 +81,10 @@ class Channel:
     """A quantum map, or a stack of them, with the Choi matrix as the canonical representation.
 
     ``choi`` is one Choi matrix D or a ``(B, N**2, N**2)`` stack of them.
-    The Hermiticity defect of D, which ``is_cp`` and ``choi_eig`` both
-    check, the CP/TP/unitality flags, the spectrum of D/N, which gives
-    ``is_cp`` and :func:`map_entropy`, and the eigendecomposition of D,
-    which gives :func:`to_kraus`, are computed from it on first use and
-    cached; instances should be treated as immutable.  A stack's flags say
-    that every member has the property.
+    The CP/TP/unitality flags, the spectrum of D/N and the eigendecomposition
+    of D are cached properties, computed on first use; instances should be
+    treated as immutable.  A stack's flags say that every member has the
+    property.
     """
 
     def __init__(self, choi: np.ndarray, tol: float = FLAG_TOL):
@@ -94,12 +94,6 @@ class Channel:
             raise DimensionError(f"expected a Choi matrix or a stack of them, got shape {choi.shape}")
         self.choi = choi
         self.tol = tol
-        self._defect = None
-        self._is_cp: bool | None = None
-        self._is_tp: bool | None = None
-        self._is_unital: bool | None = None
-        self._jam_spectrum: np.ndarray | None = None
-        self._choi_eig: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def dim(self) -> int:
@@ -126,57 +120,44 @@ class Channel:
     def superop(self) -> np.ndarray:
         return reshuffle(self.choi)
 
-    @property
+    @cached_property
     def jam_spectrum(self) -> np.ndarray:
         """Ascending eigenvalues of the Jamiolkowski matrix D/N, computed once; read-only."""
-        if self._jam_spectrum is None:
-            self._jam_spectrum = hermitian_eigvals(self.choi / self._dim, self.tol, "D/N")
-            self._jam_spectrum.flags.writeable = False
-        return self._jam_spectrum
+        vals = hermitian_eigvals(self.choi / self._dim, self.tol, "D/N")
+        vals.flags.writeable = False
+        return vals
 
-    @property
+    @cached_property
     def choi_eig(self) -> tuple[np.ndarray, np.ndarray]:
         """``eig_hermitian(D, tol)``: ascending eigenvalues and eigenvector columns of D.
 
         Computed once; read-only.
         """
-        if self._choi_eig is None:
-            self._choi_eig = eig_hermitian(self.choi, self.tol, self._hermiticity_defect)
-            for a in self._choi_eig:
-                a.flags.writeable = False
-        return self._choi_eig
+        vals, vecs = eig_hermitian(self.choi, self.tol, self._hermiticity_defect)
+        vals.flags.writeable = vecs.flags.writeable = False
+        return vals, vecs
 
-    @property
+    @cached_property
     def _hermiticity_defect(self) -> float:
         """``hermiticity_defect(D)``, the largest member's for a stack; computed once."""
-        if self._defect is None:
-            defect = hermiticity_defect(self.choi)
-            self._defect = defect if self.choi.ndim == 2 else defect.max(initial=0.0)
-        return self._defect
+        defect = hermiticity_defect(self.choi)
+        return defect if self.choi.ndim == 2 else defect.max(initial=0.0)
 
     # -- structural predicates -------------------------------------------
 
-    @property
+    @cached_property
     def is_cp(self) -> bool:
         """D is Hermitian within ``tol`` and N * min eig(D/N) >= -tol."""
-        if self._is_cp is None:
-            hermitian = self._hermiticity_defect <= self.tol
-            self._is_cp = bool(hermitian and self._dim * self.jam_spectrum.min() >= -self.tol)
-        return self._is_cp
+        hermitian = self._hermiticity_defect <= self.tol
+        return bool(hermitian and self._dim * self.jam_spectrum.min() >= -self.tol)
 
-    @property
+    @cached_property
     def is_tp(self) -> bool:
-        if self._is_tp is None:
-            defect = _tp_defect(self.choi)
-            self._is_tp = bool((defect if self.choi.ndim == 2 else defect.max()) <= self.tol)
-        return self._is_tp
+        return bool(_tp_defect(self.choi).max() <= self.tol)
 
-    @property
+    @cached_property
     def is_unital(self) -> bool:
-        if self._is_unital is None:
-            dev = np.abs(partial_trace(self.choi, "B") - np.eye(self._dim)).max()
-            self._is_unital = bool(dev <= self.tol)
-        return self._is_unital
+        return bool(np.abs(partial_trace(self.choi, "B") - np.eye(self._dim)).max() <= self.tol)
 
     # -- action and algebra ----------------------------------------------
 
@@ -261,10 +242,11 @@ def _kraus_set(weights: np.ndarray, rows: np.ndarray, n: int) -> KrausSet:
 
 
 def apply_kraus(operators, rho: np.ndarray) -> np.ndarray:
-    """Evaluate sum_a A_a rho A_a^dag."""
-    out = np.zeros_like(np.asarray(rho, dtype=complex))
-    for a in operators:
-        out += a @ rho @ a.conj().T
+    """sum_a A_a rho A_a^dag, summed in order, for operators ``(..., M, N, N)`` and states ``(..., N, N)``."""
+    ops, rho = np.asarray(operators), np.asarray(rho, dtype=complex)
+    out = np.zeros(np.broadcast_shapes(ops.shape[:-3] + ops.shape[-2:], rho.shape), dtype=complex)
+    for a in np.moveaxis(ops, -3, 0):
+        out += a @ rho @ a.conj().swapaxes(-1, -2)
     return out
 
 
@@ -303,6 +285,13 @@ def _map_entropy_in_range(s, n: int):
     return s
 
 
+def _each_kraus_set(ks, rho: np.ndarray, f):
+    """``f(operators, rho)`` on a :class:`KrausSet`; on a list of them, member by member, as a list."""
+    if isinstance(ks, list):
+        return [f(k.operators, r) for k, r in zip(ks, np.broadcast_to(rho, (len(ks), *rho.shape[-2:])))]
+    return f(ks.operators, rho)
+
+
 def sigma_hat(channel: Channel, rho: np.ndarray) -> np.ndarray:
     """Correlation matrix sigma[a, b] = tr(rho A_b^dag A_a).
 
@@ -314,12 +303,7 @@ def sigma_hat(channel: Channel, rho: np.ndarray) -> np.ndarray:
     matrices come as one ``(B, M, M)`` stack when every member keeps M Kraus
     operators, else as a list, member by member.
     """
-    ks = to_kraus(channel)
-    rho = np.asarray(rho, dtype=complex)
-    if isinstance(ks, list):
-        rhos = rho if rho.ndim > 2 else [rho] * len(ks)
-        return [_correlation(k.operators, r) for k, r in zip(ks, rhos)]
-    return _correlation(ks.operators, rho)
+    return _each_kraus_set(to_kraus(channel), np.asarray(rho, dtype=complex), _correlation)
 
 
 def _correlation(ops: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -336,25 +320,39 @@ def entropy_exchange(channel: Channel, rho: np.ndarray):
     return von_neumann_entropy(sigma)
 
 
-def purified_exchange_entropy(channel: Channel, rho: np.ndarray) -> float:
-    """Exchange entropy via purification.
+def tracial_spectrum_defect(channel: Channel):
+    """max |spec sigma_hat(1/N) - spec D/N|, the first zero-padded to N**2; one per member of a stack.
+
+    At the tracial state sigma_hat has the nonzero spectrum of D/N, so this vanishes up to round-off.
+    """
+    n = channel.dim
+    sigma = sigma_hat(channel, np.eye(n, dtype=complex) / n)
+    jam = np.linalg.eigvalsh(jam_state(channel))
+    padded = np.zeros_like(jam)
+    for row, s in zip(padded, sigma) if isinstance(sigma, list) else [(padded, sigma)]:
+        row[..., n * n - s.shape[-1] :] = np.linalg.eigvalsh(s)
+    return _float_or_stack(np.abs(padded - jam).max(axis=-1))
+
+
+def purified_exchange_entropy(channel: Channel, rho: np.ndarray):
+    """Exchange entropy via purification; one per member of a stack, on one state or one per member.
 
     Purifies rho over a reference copy (channel acting on the second leg,
     whose reduction is rho) and returns the entropy of the evolved joint
     state; equals ``entropy_exchange`` for any purification.
     """
-    rho = validate_density_matrix(np.asarray(rho, dtype=complex))
+    rho = np.asarray(rho, dtype=complex)
     n = channel.dim
-    if rho.shape != (n, n):
-        raise DimensionError(f"state dim {rho.shape[0]} does not match channel dim {n}")
+    if rho.shape != (n, n) and rho.shape != channel.choi.shape[:-2] + (n, n):
+        raise DimensionError(f"state shape {rho.shape} does not match channel dim {n}")
     p, v = eig_hermitian(rho)
+    check_density(rho, p)
     p = np.clip(p, 0.0, None)
-    phi = np.zeros(n * n, dtype=complex)
-    for i in range(n):
-        phi += np.sqrt(p[i]) * kron(v[:, i], v[:, i])
-    joint = np.outer(phi, phi.conj())
-    ks = to_kraus(channel)
-    evolved = apply_kraus([kron(np.eye(n), a) for a in ks.operators], joint)
+    phi = np.zeros(rho.shape[:-2] + (n * n,), dtype=complex)
+    for i in range(n):  # the Kronecker products v_i (x) v_i, summed in order
+        phi += np.sqrt(p[..., i, None]) * (v[..., :, i, None] * v[..., None, :, i]).reshape(phi.shape)
+    joint = phi[..., :, None] * phi.conj()[..., None, :]
+    evolved = _each_kraus_set(to_kraus(channel), joint, lambda a, j: apply_kraus(np.kron(np.eye(n), a), j))
     return von_neumann_entropy(evolved)
 
 
@@ -388,7 +386,7 @@ def lindblad_bounds(channel: Channel, rho: np.ndarray) -> LindbladBounds:
     s_sigma = entropy_exchange(channel, rho)
     s_rho = von_neumann_entropy(rho)
     s_out = von_neumann_entropy(channel.apply(rho))
-    return LindbladBounds(abs(s_sigma - s_rho), s_sigma + s_rho, s_out, s_sigma)
+    return LindbladBounds(np.abs(s_sigma - s_rho), s_sigma + s_rho, s_out, s_sigma)
 
 
 def coherent_information(channel: Channel, rho: np.ndarray) -> float:
@@ -524,6 +522,7 @@ __all__ = [
     "map_entropy",
     "sigma_hat",
     "entropy_exchange",
+    "tracial_spectrum_defect",
     "purified_exchange_entropy",
     "lindblad_operator",
     "lindblad_bounds",

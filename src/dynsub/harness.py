@@ -13,19 +13,18 @@ a suite can be replayed exactly from the report.
 A suite evaluates a batch of samples at once (:func:`run_suite` passes up
 to ``BATCH`` indices at a time).  Its sample function makes every sample's
 draws from that sample's own stream, in a fixed order, then computes the
-checks of the whole batch.  The six suites with Sinkhorn draws (Wishart
-Choi matrices, or positive matrices in ``classical``) scale all of the
-batch's starts in one stacked call (:func:`operator_sinkhorn`, or
-:func:`matrix_sinkhorn` in ``classical``) and evaluate their checks on
-stacks, each library kernel running once per batch.  ``classical`` works on
-``(B, N, N)`` matrices and ``(B, N)`` vectors.  The five channel suites and
-``data_processing`` hold each role's channels as one :class:`Channel` over a
-``(B, N**2, N**2)`` stack of Choi matrices; their Wishart channels are drawn
-sample by sample and trace-normalized (:func:`tp_renormalize`) once per
-batch.  ``lindblad`` and ``quasifree`` draw and check one sample after
-another, in index order.  A Sinkhorn draw's result does not depend on its
-stack, and a stacked kernel gives each member the bits of its own call, so
-replay, :func:`evaluate_sample`, runs the same code on a batch of one and
+checks of the whole batch.  Every suite but ``quasifree``, which calls its
+kernels once per sample in index order, evaluates its checks on stacks, each
+library kernel running once per batch: ``classical`` on ``(B, N, N)``
+matrices and ``(B, N)`` vectors, the other seven on one :class:`Channel`
+per role over a ``(B, N**2, N**2)`` stack of Choi matrices.
+The six suites with Sinkhorn draws (Wishart Choi matrices, or positive
+matrices in ``classical``) scale all of the batch's starts in one call
+(:func:`operator_sinkhorn`, or :func:`matrix_sinkhorn` in ``classical``);
+Wishart channels are trace-normalized (:func:`tp_renormalize`) once per
+batch.  A Sinkhorn draw's result does not depend on its stack, and a stacked
+kernel gives each member the bits of its own call, so replay,
+:func:`evaluate_sample`, runs the same code on a batch of one and
 reproduces every bit of the batched run.
 """
 
@@ -48,7 +47,7 @@ from .channels import (
     lindblad_bounds,
     map_entropy,
     purified_exchange_entropy,
-    sigma_hat,
+    tracial_spectrum_defect,
 )
 from .errors import DomainError
 from .matcore import max_entangled_projector, partial_trace, von_neumann_entropy
@@ -57,7 +56,6 @@ from .randgen import (
     matrix_sinkhorn,
     operator_sinkhorn,
     positive_matrix,
-    random_channel,
     random_density,
     random_qf_map,
     random_stochastic,
@@ -305,25 +303,22 @@ def _sample_dynsub_general(dim: int, gens, tol: float) -> list[list[Check]]:
 
 
 def _sample_lindblad(dim: int, gens, tol: float) -> list[list[Check]]:
-    rho_star = np.eye(dim, dtype=complex) / dim
-    out = []
+    ws, rho = [], []
     for g in gens:
-        ch = random_channel(dim, g)
-        rho = random_density(dim, g)
-        lb = lindblad_bounds(ch, rho)
-        spec_sigma = np.sort(np.linalg.eigvalsh(sigma_hat(ch, rho_star)))
-        spec_jam = np.sort(np.linalg.eigvalsh(jam_state(ch)))
-        padded = np.zeros(spec_jam.size)
-        padded[-spec_sigma.size :] = spec_sigma
-        out.append(
-            [
-                _ineq("lindblad.lower", lb.actual - lb.lower, tol),
-                _ineq("lindblad.upper", lb.upper - lb.actual, tol),
-                _eq("exchange.purification", lb.exchange - purified_exchange_entropy(ch, rho)),
-                _eq("exchange.tracial_spectrum", np.abs(padded - spec_jam).max()),
-            ]
-        )
-    return out
+        ws.append(wishart_choi(dim, g))
+        rho.append(random_density(dim, g))
+    w = np.stack(ws)
+    del ws
+    ch = Channel(tp_renormalize(w))
+    del w
+    rho = np.stack(rho)
+    lb = lindblad_bounds(ch, rho)
+    return _by_sample(
+        _ineqs("lindblad.lower", lb.actual - lb.lower, tol),
+        _ineqs("lindblad.upper", lb.upper - lb.actual, tol),
+        _eqs("exchange.purification", lb.exchange - purified_exchange_entropy(ch, rho)),
+        _eqs("exchange.tracial_spectrum", tracial_spectrum_defect(ch)),
+    )
 
 
 def _sample_data_processing(dim: int, gens, tol: float) -> list[list[Check]]:
@@ -331,8 +326,10 @@ def _sample_data_processing(dim: int, gens, tol: float) -> list[list[Check]]:
     for g in gens:
         ws += [wishart_choi(dim, g), wishart_choi(dim, g)]
         rho.append(random_density(dim, g))
-    ch1, ch2 = (Channel(tp_renormalize(np.stack(ws[k::2]))) for k in range(2))
+    w = np.stack(ws)
     del ws
+    ch1, ch2 = Channel(tp_renormalize(w[0::2])), Channel(tp_renormalize(w[1::2]))
+    del w
     rho = np.stack(rho)
     i1 = coherent_information(ch1, rho)
     # Free ch1's and ch2's cached eigendecompositions and Kraus stacks before i21.

@@ -221,11 +221,15 @@ def validate_density_matrix(x: np.ndarray, tol: float = CLAMP_TOL) -> np.ndarray
 
     Returns ``x`` unchanged on success.
     """
-    x = _as_square(x)
-    check_spectrum(hermitian_eigvals(x, tol, "density matrix"), tol, what="density matrix")
-    tr = complex(np.trace(x))
-    if abs(tr - 1.0) > tol:
-        raise TraceError(f"trace {tr} deviates from 1")
+    return check_density(_as_square(x), hermitian_eigvals(x, tol, "density matrix"), tol)
+
+
+def check_density(x: np.ndarray, vals: np.ndarray, tol: float = CLAMP_TOL) -> np.ndarray:
+    """``x``, a matrix or a stack with spectra ``vals``, if each is PSD with unit trace within ``tol``."""
+    check_spectrum(vals, tol, what="density matrix")
+    dev = np.abs(np.trace(x, axis1=-2, axis2=-1) - 1.0).max()
+    if dev > tol:
+        raise TraceError(f"trace deviates from 1 by {dev:.3e}")
     return x
 
 

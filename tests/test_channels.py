@@ -23,7 +23,7 @@ from dynsub.channels import (
     unitary_channel,
 )
 from dynsub.classical import entropy_uniform, flat_matrix
-from dynsub.errors import DimensionError, HermiticityError, PositivityError, UnitarityError
+from dynsub.errors import DimensionError, HermiticityError, PositivityError, TraceError, UnitarityError
 from dynsub.matcore import (
     eig_hermitian,
     kron,
@@ -352,6 +352,36 @@ def test_entropy_exchange_matches_purification():
         ch = random_channel(2, 32 + seed)
         rho = random_density(2, 64 + seed)
         assert abs(entropy_exchange(ch, rho) - purified_exchange_entropy(ch, rho)) < 1e-9
+
+
+def test_purification_diagonalizes_rho_once(monkeypatch):
+    # rho is validated on the eigenvalues of the eigh that purifies it
+    shapes = {"eigh": [], "eigvalsh": []}
+    for name, calls in shapes.items():
+
+        def counted(a, *args, f=getattr(np.linalg, name), calls=calls):
+            calls.append(a.shape)
+            return f(a, *args)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    ch, rho = random_channel(3, 35), random_density(3, 36)
+    to_kraus(ch)  # D's eigendecomposition and the spectrum of D/N
+    for calls in shapes.values():
+        calls.clear()
+    purified_exchange_entropy(ch, rho)
+    assert shapes == {"eigh": [(3, 3)], "eigvalsh": [(9, 9)]}  # rho, then the evolved joint state
+
+
+def test_purification_checks_rho():
+    ch = random_channel(2, 37)
+    with pytest.raises(PositivityError):
+        purified_exchange_entropy(ch, np.diag([1.5, -0.5]))
+    with pytest.raises(TraceError):
+        purified_exchange_entropy(ch, np.eye(2))
+    with pytest.raises(HermiticityError):
+        purified_exchange_entropy(ch, np.array([[0.5, 0.1], [0.3, 0.5]]))
+    with pytest.raises(DimensionError):
+        purified_exchange_entropy(ch, np.eye(3) / 3)
 
 
 def test_purified_exchange_on_pure_state_is_output_entropy():

@@ -85,10 +85,63 @@ def test_classical_eta_calls_do_not_grow_with_the_batch(monkeypatch):
 
 def test_lindblad_sample_builds_two_sigma_hats(monkeypatch):
     # lindblad_bounds carries S(sigma_hat) for exchange.purification; the
-    # other sigma_hat is the tracial-spectrum check's
-    calls = _count_calls(monkeypatch, [channels, harness], "sigma_hat")
+    # other sigma_hat is the tracial-spectrum check's.  A batch builds the
+    # same two, on stacks.
+    calls = _count_calls(monkeypatch, [channels], "sigma_hat")
     evaluate_sample("lindblad", 2, 42, 0)
     assert len(calls) == 2
+    calls.clear()
+    evaluate_samples("lindblad", 2, 42, range(8))
+    assert len(calls) == 2
+
+
+def test_a_lindblad_batch_calls_each_kernel_once(monkeypatch):
+    # One call of 8 rows per kernel; one lindblad_bounds call per sample before stacking.
+    calls = []
+    for name in ("tp_renormalize", "lindblad_bounds", "purified_exchange_entropy", "tracial_spectrum_defect"):
+        original = getattr(harness, name)
+        monkeypatch.setattr(
+            harness, name,
+            lambda x, *a, name=name, f=original: calls.append((name, len(getattr(x, "choi", x)))) or f(x, *a),
+        )
+    evaluate_samples("lindblad", 3, 42, range(8))
+    assert calls == [
+        ("tp_renormalize", 8),
+        ("lindblad_bounds", 8),
+        ("purified_exchange_entropy", 8),
+        ("tracial_spectrum_defect", 8),
+    ]
+
+
+def test_a_lindblad_batch_takes_a_rank_deficient_channel(monkeypatch):
+    # Sample 3's channel has Kraus rank 1 (a unitary channel), the others N**2,
+    # so the Kraus route falls back to member-by-member sets.
+    index_of = {}
+
+    class TaggedStream(harness.RngStream):
+        def generator(self):
+            g = super().generator()
+            index_of[id(g)] = self.stream_index
+            return g
+
+    def draw(dim, g, f=harness.wishart_choi):
+        w = f(dim, g)
+        if index_of[id(g)] == 3:
+            vals, vecs = np.linalg.eigh(w)
+            w = vals[-1] * np.outer(vecs[:, -1], vecs[:, -1].conj())
+        return w
+
+    monkeypatch.setattr(harness, "RngStream", TaggedStream)
+    monkeypatch.setattr(harness, "wishart_choi", draw)
+    sets = []
+    monkeypatch.setattr(channels, "to_kraus", lambda ch, f=channels.to_kraus: sets.append(f(ch)) or sets[-1])
+    batch = evaluate_samples("lindblad", 2, 17, range(8))
+    assert len(sets) == 3  # lindblad_bounds, the purification and the tracial spectrum
+    for ks in sets:
+        assert [len(k) for k in ks] == [4, 4, 4, 1, 4, 4, 4, 4]
+    singles = [evaluate_sample("lindblad", 2, 17, i) for i in range(8)]
+    assert batch == singles  # every slack bitwise equal, sample by sample
+    assert all(c.passed for checks in batch for c in checks)
 
 
 # SVDs per 64-mode quasifree sample at seed 42: one in each of the four
@@ -344,6 +397,79 @@ def test_quasifree_check_fails_when_one_route_is_off(
         lambda m, *a: original(m, *a) + (shift if any(m is d for d in drawn) == on_drawn else 0.0),
     )
     report = run_suite("quasifree", 4, 8, 42)
+    failed = {name for name, slack in report.checks.items()
+              if slack < -harness.TOLERANCES.get(name, harness.INEQ_TOL)}
+    assert not report.passed and failed == {check}
+
+
+# Negative controls for lindblad: each check fails when one route is off by
+# 1e-6, and no other check does.  Lindblad's bounds have margins far above
+# 1e-6 on full-rank states, so their controls run at the equality case of a
+# pure rho, where S(rho) = 0 and S(Phi(rho)) = S(sigma_hat) = both bounds.
+
+
+def _shift_purification(monkeypatch, shift):
+    original = harness.purified_exchange_entropy
+    monkeypatch.setattr(harness, "purified_exchange_entropy", lambda ch, rho: original(ch, rho) + shift)
+
+
+def _shift_tracial_sigma_spectrum(monkeypatch, shift):
+    # Only the tracial-spectrum check takes sigma_hat at rho = 1/N; lindblad_bounds
+    # takes it at the drawn states.
+    original = channels.sigma_hat
+
+    def shifted(ch, rho):
+        sigma = original(ch, rho)
+        if np.array_equal(rho, np.eye(ch.dim) / ch.dim):
+            sigma = sigma + shift * np.eye(sigma.shape[-1])
+        return sigma
+
+    monkeypatch.setattr(channels, "sigma_hat", shifted)
+
+
+def _shift_output_entropy(monkeypatch, shift):
+    original = harness.lindblad_bounds
+
+    def shifted(ch, rho):
+        lb = original(ch, rho)
+        return lb._replace(actual=lb.actual + shift)
+
+    monkeypatch.setattr(harness, "lindblad_bounds", shifted)
+
+
+def _pure_states(monkeypatch):
+    """Replace each drawn rho by the projector on its top eigenvector; the stream is unchanged."""
+    original = harness.random_density
+
+    def draw(n, g):
+        v = np.linalg.eigh(original(n, g))[1][:, -1]
+        return np.outer(v, v.conj())
+
+    monkeypatch.setattr(harness, "random_density", draw)
+
+
+@pytest.mark.parametrize(
+    "check, shift_route, shift, pure",
+    [
+        # S(sigma_hat) on the Kraus route vs the purified joint state's entropy
+        ("exchange.purification", _shift_purification, 1e-6, False),
+        # spec sigma_hat(1/N) vs spec D/N
+        ("exchange.tracial_spectrum", _shift_tracial_sigma_spectrum, 1e-6, False),
+        # S(Phi(rho)) from the output state vs the bounds from S(sigma_hat) and S(rho)
+        ("lindblad.lower", _shift_output_entropy, -1e-6, True),
+        ("lindblad.upper", _shift_output_entropy, 1e-6, True),
+    ],
+)
+def test_lindblad_check_fails_when_one_route_is_off(check, shift_route, shift, pure, monkeypatch):
+    if pure:
+        _pure_states(monkeypatch)
+    control = run_suite("lindblad", 2, 8, 42)
+    assert control.passed
+    if pure:
+        assert abs(control.checks[check]) < 1e-12  # the bound holds with equality
+
+    shift_route(monkeypatch, shift)
+    report = run_suite("lindblad", 2, 8, 42)
     failed = {name for name, slack in report.checks.items()
               if slack < -harness.TOLERANCES.get(name, harness.INEQ_TOL)}
     assert not report.passed and failed == {check}

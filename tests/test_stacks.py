@@ -328,6 +328,21 @@ def test_channel_kernels_are_stack_polymorphic(n, size):
         channels.coherent_information(composed, rho),
         [channels.coherent_information(b.compose(a), r) for a, b, r in zip(singles1, singles2, rho)],
     )
+    assert_member_arrays(
+        channels.apply_kraus(channels.to_kraus(stack1).operators, rho),
+        [channels.apply_kraus(channels.to_kraus(c).operators, r) for c, r in zip(singles1, rho)],
+    )
+    assert_members(
+        channels.purified_exchange_entropy(stack1, rho),
+        [channels.purified_exchange_entropy(c, r) for c, r in zip(singles1, rho)],
+    )
+    assert_members(
+        channels.purified_exchange_entropy(stack1, rho[0]),
+        [channels.purified_exchange_entropy(c, rho[0]) for c in singles1],
+    )
+    assert_members(
+        channels.tracial_spectrum_defect(stack1), [channels.tracial_spectrum_defect(c) for c in singles1]
+    )
 
 
 @pytest.mark.parametrize("n", (2, 3))
@@ -348,6 +363,20 @@ def test_kraus_route_falls_back_when_the_counts_differ(n):
     assert_members(
         channels.entropy_exchange(stack, rho),
         [channels.entropy_exchange(c, r) for c, r in zip(singles, rho)],
+    )
+    for member, c, r in zip(kraus, singles, rho):
+        own = channels.apply_kraus(channels.to_kraus(c).operators, r)
+        assert bits(channels.apply_kraus(member.operators, r)) == bits(own)
+    assert_members(
+        channels.purified_exchange_entropy(stack, rho),
+        [channels.purified_exchange_entropy(c, r) for c, r in zip(singles, rho)],
+    )
+    assert_members(
+        channels.purified_exchange_entropy(stack, rho[0]),
+        [channels.purified_exchange_entropy(c, rho[0]) for c in singles],
+    )
+    assert_members(
+        channels.tracial_spectrum_defect(stack), [channels.tracial_spectrum_defect(c) for c in singles]
     )
 
 
