@@ -61,13 +61,16 @@ FLAG_TOL = 1e-9
 class KrausSet:
     """Canonical Kraus form: mutually orthogonal operators with weights.
 
-    The weights are the eigenvalues of the Choi matrix and satisfy
+    One slot per eigenvalue of the Choi matrix, N**2 of them: the weights
+    are the eigenvalues, with those at or below ``KRAUS_CUTOFF`` set to 0
+    and their operators to exact zeros, and satisfy
     ``tr(A_a^dag A_b) = d_a delta_ab``; for a trace-preserving channel
-    ``sum_a A_a^dag A_a = eye``.
+    ``sum_a A_a^dag A_a = eye``.  ``len`` is N**2; the Kraus rank is
+    ``np.count_nonzero(weights, axis=-1)``.
     """
 
-    operators: np.ndarray  # shape (M, N, N), or (B, M, N, N) for a stack of channels
-    weights: np.ndarray  # shape (M,) or (B, M), descending
+    operators: np.ndarray  # shape (N**2, N, N), or (B, N**2, N, N) for a stack of channels
+    weights: np.ndarray  # shape (N**2,) or (B, N**2), descending
 
     @property
     def dim(self) -> int:
@@ -84,28 +87,27 @@ class Channel:
     The CP/TP/unitality flags, the spectrum of D/N and the eigendecomposition
     of D are cached properties, computed on first use; instances should be
     treated as immutable.  A stack's flags say that every member has the
-    property.
+    property, within ``FLAG_TOL``.
     """
 
-    def __init__(self, choi: np.ndarray, tol: float = FLAG_TOL):
+    def __init__(self, choi: np.ndarray):
         choi = np.asarray(choi, dtype=complex)
         self._dim = _square_side(choi, stack=True)
         if choi.ndim > 3:
             raise DimensionError(f"expected a Choi matrix or a stack of them, got shape {choi.shape}")
         self.choi = choi
-        self.tol = tol
 
     @property
     def dim(self) -> int:
         return self._dim
 
     @classmethod
-    def from_superop(cls, m: np.ndarray, tol: float = FLAG_TOL) -> "Channel":
+    def from_superop(cls, m: np.ndarray) -> "Channel":
         """Build from the N**2-dimensional superoperator matrix."""
-        return cls(reshuffle(np.asarray(m, dtype=complex)), tol=tol)
+        return cls(reshuffle(np.asarray(m, dtype=complex)))
 
     @classmethod
-    def from_kraus(cls, operators, tol: float = FLAG_TOL) -> "Channel":
+    def from_kraus(cls, operators) -> "Channel":
         """Build from a nonempty list of equal-dimension Kraus operators."""
         ops = [np.asarray(a, dtype=complex) for a in operators]
         if not ops:
@@ -114,7 +116,7 @@ class Channel:
         if any(a.shape != (n, n) for a in ops):
             raise DimensionError("Kraus operators have mixed dimensions")
         d = sum(np.outer(a.reshape(-1), a.reshape(-1).conj()) for a in ops)
-        return cls(d, tol=tol)
+        return cls(d)
 
     @property
     def superop(self) -> np.ndarray:
@@ -123,41 +125,40 @@ class Channel:
     @cached_property
     def jam_spectrum(self) -> np.ndarray:
         """Ascending eigenvalues of the Jamiolkowski matrix D/N, computed once; read-only."""
-        vals = hermitian_eigvals(self.choi / self._dim, self.tol, "D/N")
+        vals = hermitian_eigvals(self.choi / self._dim, FLAG_TOL, "D/N")
         vals.flags.writeable = False
         return vals
 
     @cached_property
     def choi_eig(self) -> tuple[np.ndarray, np.ndarray]:
-        """``eig_hermitian(D, tol)``: ascending eigenvalues and eigenvector columns of D.
+        """``eig_hermitian(D, FLAG_TOL)``: ascending eigenvalues and eigenvector columns of D.
 
         Computed once; read-only.
         """
-        vals, vecs = eig_hermitian(self.choi, self.tol, self._hermiticity_defect)
+        vals, vecs = eig_hermitian(self.choi, FLAG_TOL, self._hermiticity_defect)
         vals.flags.writeable = vecs.flags.writeable = False
         return vals, vecs
 
     @cached_property
     def _hermiticity_defect(self) -> float:
         """``hermiticity_defect(D)``, the largest member's for a stack; computed once."""
-        defect = hermiticity_defect(self.choi)
-        return defect if self.choi.ndim == 2 else defect.max(initial=0.0)
+        return hermiticity_defect(self.choi).max(initial=0.0)
 
     # -- structural predicates -------------------------------------------
 
     @cached_property
     def is_cp(self) -> bool:
-        """D is Hermitian within ``tol`` and N * min eig(D/N) >= -tol."""
-        hermitian = self._hermiticity_defect <= self.tol
-        return bool(hermitian and self._dim * self.jam_spectrum.min() >= -self.tol)
+        """D is Hermitian within ``FLAG_TOL`` and N * min eig(D/N) >= -FLAG_TOL."""
+        hermitian = self._hermiticity_defect <= FLAG_TOL
+        return bool(hermitian and self._dim * self.jam_spectrum.min() >= -FLAG_TOL)
 
     @cached_property
     def is_tp(self) -> bool:
-        return bool(_tp_defect(self.choi).max() <= self.tol)
+        return bool(_tp_defect(self.choi).max() <= FLAG_TOL)
 
     @cached_property
     def is_unital(self) -> bool:
-        return bool(np.abs(partial_trace(self.choi, "B") - np.eye(self._dim)).max() <= self.tol)
+        return bool(np.abs(partial_trace(self.choi, "B") - np.eye(self._dim)).max() <= FLAG_TOL)
 
     # -- action and algebra ----------------------------------------------
 
@@ -178,11 +179,11 @@ class Channel:
         """
         if earlier.dim != self._dim:
             raise DimensionError(f"dims differ: {self._dim} vs {earlier.dim}")
-        return Channel(odot_raw(self.choi, earlier.choi), tol=self.tol)
+        return Channel(odot_raw(self.choi, earlier.choi))
 
     def adjoint(self) -> "Channel":
         """The conjugate map rho -> conj(Phi(conj(rho))); Choi is conjugated."""
-        return Channel(self.choi.conj(), tol=self.tol)
+        return Channel(self.choi.conj())
 
     def power(self, n: int) -> "Channel":
         """n-fold self-concatenation."""
@@ -194,51 +195,38 @@ class Channel:
         return out
 
 
-def to_kraus(channel: Channel, cutoff: float = KRAUS_CUTOFF):
+def to_kraus(channel: Channel) -> KrausSet:
     """Canonical Kraus form from the cached Choi eigendecomposition.
 
-    Eigenvalues below ``cutoff`` are dropped.  Operators are ordered by
-    descending weight; each eigenvector's phase is fixed by making its
-    first significant component real positive, so the output is
-    deterministic for a given Choi matrix.
-
-    A stack of channels whose members keep the same number M of operators
-    gets one :class:`KrausSet` of ``(B, M, N, N)`` operators and ``(B, M)``
-    weights; when the counts differ it gets the list of the members' sets.
+    One slot per eigenvalue of D, ordered by descending weight; weights at
+    or below ``KRAUS_CUTOFF`` are 0 and their operators exact zeros.  Each
+    eigenvector's phase is fixed by making its first significant component
+    real positive, so the output is deterministic for a given Choi matrix.
+    A stack of channels gets ``(B, N**2, N, N)`` operators and ``(B, N**2)``
+    weights, and each member the bits of its own call.
     """
     if not channel.is_cp:
         raise PositivityError("channel is not completely positive")
-    n = channel.dim
     vals, vecs = channel.choi_eig
     order = np.argsort(-vals, axis=-1, kind="stable")
-    if vals.ndim == 1:
-        order = order[vals[order] > cutoff]
-        return _kraus_set(vals[order], vecs.T[order], n)
-    # The members' kept eigenvectors, in order, as the rows of one matrix;
-    # every step of _kraus_set treats each row on its own.
-    size, d = vals.shape
-    order = order + d * np.arange(size)[:, None]
-    vals = vals.reshape(-1)
-    order = order[vals[order] > cutoff]
-    ks = _kraus_set(vals[order], vecs.swapaxes(-1, -2)[order // d, order % d], n)
-    kept = (vals > cutoff).reshape(size, d).sum(axis=-1)
-    if kept.min() == kept.max():
-        return KrausSet(ks.operators.reshape(size, kept[0], n, n), ks.weights.reshape(size, kept[0]))
-    cuts = np.cumsum(kept)[:-1]
-    return [KrausSet(*k) for k in zip(np.split(ks.operators, cuts), np.split(ks.weights, cuts))]
+    # order, with index arrays for the leading axes, moves each eigenvector as a
+    # whole row; take_along_axis would gather it entry by entry, 4x slower.
+    pick = (*np.indices(order.shape[:-1] + (1,), sparse=True)[:-1], order)
+    vals = vals[pick]
+    return _kraus_set(np.where(vals > KRAUS_CUTOFF, vals, 0.0), vecs.swapaxes(-1, -2)[pick], channel.dim)
 
 
 def _kraus_set(weights: np.ndarray, rows: np.ndarray, n: int) -> KrausSet:
-    """Kraus operators from eigenvectors of D and their eigenvalues.
+    """Kraus operators from eigenvectors of D and their weights, over leading axes.
 
     ``rows`` holds one eigenvector per row and is scaled in place.
     """
     mags = np.abs(rows)
-    first = np.argmax(mags > 1e-8 * mags.max(axis=1, keepdims=True), axis=1)
-    lead = rows[np.arange(len(rows)), first]
-    rows *= (lead.conj() / np.abs(lead))[:, None]
-    rows *= np.sqrt(weights)[:, None]
-    return KrausSet(rows.reshape(-1, n, n), weights)
+    first = np.argmax(mags > 1e-8 * mags.max(axis=-1, keepdims=True), axis=-1)
+    lead = np.take_along_axis(rows, first[..., None], axis=-1)
+    rows *= lead.conj() / np.abs(lead)
+    rows *= np.sqrt(weights)[..., None]
+    return KrausSet(rows.reshape(rows.shape[:-1] + (n, n)), weights)
 
 
 def apply_kraus(operators, rho: np.ndarray) -> np.ndarray:
@@ -279,59 +267,39 @@ def map_entropy(channel: Channel):
 
 def _map_entropy_in_range(s, n: int):
     """``s``; raise unless each map entropy in it lies in [0, 2 ln N] up to round-off."""
-    low, high = (s, s) if isinstance(s, float) else (s.min(), s.max())
-    if not (-1e-12 <= low and high <= 2 * np.log(n) + 1e-9):
+    if not (-1e-12 <= np.min(s) and np.max(s) <= 2 * np.log(n) + 1e-9):
         raise NumericalError(f"map entropy {s} outside [0, 2 ln N]")
     return s
-
-
-def _each_kraus_set(ks, rho: np.ndarray, f):
-    """``f(operators, rho)`` on a :class:`KrausSet`; on a list of them, member by member, as a list."""
-    if isinstance(ks, list):
-        return [f(k.operators, r) for k, r in zip(ks, np.broadcast_to(rho, (len(ks), *rho.shape[-2:])))]
-    return f(ks.operators, rho)
 
 
 def sigma_hat(channel: Channel, rho: np.ndarray) -> np.ndarray:
     """Correlation matrix sigma[a, b] = tr(rho A_b^dag A_a).
 
-    Indexed by the canonical Kraus labels, so its dimension equals the
-    Kraus count (at most N**2).  It is PSD with unit trace for a TP
-    channel; spectral quantities are independent of the Kraus labeling.
-
-    A stack of channels takes one state or one per member.  Its members'
-    matrices come as one ``(B, M, M)`` stack when every member keeps M Kraus
-    operators, else as a list, member by member.
+    Indexed by the N**2 canonical Kraus slots, so it is N**2 x N**2, with
+    zero rows and columns for the zero-weight slots.  It is PSD with unit
+    trace for a TP channel; spectral quantities are independent of the
+    Kraus labeling.  A stack of channels takes one state or one per member
+    and gets a ``(B, N**2, N**2)`` stack.
     """
-    return _each_kraus_set(to_kraus(channel), np.asarray(rho, dtype=complex), _correlation)
-
-
-def _correlation(ops: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """sigma[..., a, b] = tr(rho A_b^dag A_a) for operators ``(..., M, N, N)`` and states ``(..., N, N)``."""
-    t = ops @ rho[..., None, :, :]
+    ops = to_kraus(channel).operators
+    t = ops @ np.asarray(rho, dtype=complex)[..., None, :, :]
     return np.einsum("...aij,...bij->...ab", t, ops.conj())
 
 
 def entropy_exchange(channel: Channel, rho: np.ndarray):
     """Entropy of the correlation matrix sigma_hat; one per member of a stack."""
-    sigma = sigma_hat(channel, rho)
-    if isinstance(sigma, list):
-        return np.array([von_neumann_entropy(s) for s in sigma])
-    return von_neumann_entropy(sigma)
+    return von_neumann_entropy(sigma_hat(channel, rho))
 
 
 def tracial_spectrum_defect(channel: Channel):
-    """max |spec sigma_hat(1/N) - spec D/N|, the first zero-padded to N**2; one per member of a stack.
+    """max |spec sigma_hat(1/N) - spec D/N|; one per member of a stack.
 
-    At the tracial state sigma_hat has the nonzero spectrum of D/N, so this vanishes up to round-off.
+    At the tracial state sigma_hat has the spectrum of D/N, so this vanishes up to round-off.
     """
     n = channel.dim
     sigma = sigma_hat(channel, np.eye(n, dtype=complex) / n)
     jam = np.linalg.eigvalsh(jam_state(channel))
-    padded = np.zeros_like(jam)
-    for row, s in zip(padded, sigma) if isinstance(sigma, list) else [(padded, sigma)]:
-        row[..., n * n - s.shape[-1] :] = np.linalg.eigvalsh(s)
-    return _float_or_stack(np.abs(padded - jam).max(axis=-1))
+    return _float_or_stack(np.abs(np.linalg.eigvalsh(sigma) - jam).max(axis=-1))
 
 
 def purified_exchange_entropy(channel: Channel, rho: np.ndarray):
@@ -352,7 +320,14 @@ def purified_exchange_entropy(channel: Channel, rho: np.ndarray):
     for i in range(n):  # the Kronecker products v_i (x) v_i, summed in order
         phi += np.sqrt(p[..., i, None]) * (v[..., :, i, None] * v[..., None, :, i]).reshape(phi.shape)
     joint = phi[..., :, None] * phi.conj()[..., None, :]
-    evolved = _each_kraus_set(to_kraus(channel), joint, lambda a, j: apply_kraus(np.kron(np.eye(n), a), j))
+    # apply_kraus's sum, each 1 (x) A_a built for its own term only: a stack's
+    # dilated operators, held at once, would take megabytes.  The product is
+    # np.kron(eye, a)'s, without its per-call overhead.
+    evolved = np.zeros(np.broadcast_shapes(channel.choi.shape, joint.shape), dtype=complex)
+    eye = np.eye(n)[:, None, :, None]
+    for a in np.moveaxis(to_kraus(channel).operators, -3, 0):
+        dilated = (eye * a[..., None, :, None, :]).reshape(evolved.shape)
+        evolved += dilated @ joint @ dilated.conj().swapaxes(-1, -2)
     return von_neumann_entropy(evolved)
 
 
@@ -360,7 +335,7 @@ def lindblad_operator(channel: Channel, rho: np.ndarray) -> np.ndarray:
     """The coupling state omega = sum_ab A_a rho A_b^dag (x) |a><b|.
 
     Lives on the composite of the system (dim N) and the Kraus-label space
-    (dim M).  Its partial traces are the channel output and sigma_hat, and
+    (dim M = N**2).  Its partial traces are the channel output and sigma_hat, and
     its entropy equals that of rho (isometric image).
     """
     ks = to_kraus(channel)

@@ -78,10 +78,11 @@ def _cmd_channel(args) -> int:
         _emit({"entropy": round_scalar(map_entropy(_load_channel(_require(args.choi, "--choi"))))})
     elif args.action == "kraus":
         ks = to_kraus(_load_channel(_require(args.choi, "--choi")))
+        kept = ks.weights > 0  # the zero-weight slots are not printed
         _emit(
             {
-                "weights": [round_scalar(w) for w in ks.weights],
-                "operators": [matrix_to_obj(a) for a in ks.operators],
+                "weights": [round_scalar(w) for w in ks.weights[kept]],
+                "operators": [matrix_to_obj(a) for a in ks.operators[kept]],
             }
         )
     elif args.action == "compose":

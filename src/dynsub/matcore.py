@@ -115,12 +115,10 @@ def hermitian_part(x: np.ndarray) -> np.ndarray:
 def hermiticity_defect(x: np.ndarray):
     """Max-norm distance from the Hermitian part, relative to max(1, |x|_max).
 
-    Takes a matrix or a stack of them; a float for one, an array for a stack.
+    Takes a matrix or a stack of them; a float (a ``numpy.float64``) for
+    one, an array for a stack.
     """
     x = _as_square(x, stack=True)
-    if x.ndim == 2:  # Python-float arithmetic: the channel suites make thousands of these calls
-        scale = max(1.0, float(np.abs(x).max()) if x.size else 1.0)
-        return float(np.abs(x - x.conj().T).max()) / scale
     scale = np.maximum(np.abs(x).max(axis=(-2, -1)), 1.0)
     return np.abs(x - x.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) / scale
 
@@ -128,9 +126,7 @@ def hermiticity_defect(x: np.ndarray):
 def _checked_hermitian_part(x: np.ndarray, hermit_tol: float, what: str, defect=None) -> np.ndarray:
     x = _as_square(x, stack=True)
     if defect is None:
-        defect = hermiticity_defect(x)
-        if x.ndim > 2:
-            defect = defect.max(initial=0.0)
+        defect = hermiticity_defect(x).max(initial=0.0)
     if defect > hermit_tol:
         raise HermiticityError(f"{what} deviates from Hermiticity by {defect:.3e}")
     return hermitian_part(x)

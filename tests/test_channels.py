@@ -3,6 +3,7 @@ import pytest
 
 from dynsub import channels, matcore
 from dynsub.channels import (
+    FLAG_TOL,
     Channel,
     apply_kraus,
     coarse_graining_channel,
@@ -72,9 +73,10 @@ def test_from_kraus_rejects_mixed_dims():
 
 def test_to_kraus_identity():
     ks = to_kraus(identity_channel(3))
-    assert len(ks) == 1
+    assert len(ks) == 9 and np.count_nonzero(ks.weights) == 1
     assert abs(ks.weights[0] - 3) < 1e-12
     assert np.abs(ks.operators[0] - np.eye(3)).max() < 1e-12
+    assert not ks.operators[1:].any()  # the zero-weight slots hold exact zeros
 
 
 def test_to_kraus_depolarizing():
@@ -127,7 +129,7 @@ def test_a_channel_checks_the_hermiticity_of_d_once(monkeypatch):
 
 def test_kraus_rank_matches_choi_rank():
     ch = dephasing()
-    assert len(to_kraus(ch)) == 2
+    assert np.count_nonzero(to_kraus(ch).weights) == 2
 
 
 # -- action, composition, adjoint ----------------------------------------------
@@ -256,7 +258,7 @@ def test_flags_transpose_map_not_cp():
     with pytest.raises(HermiticityError):
         skew.jam_spectrum
     # CP means N * min eig(D/N) >= -tol
-    tol = ch.tol
+    tol = FLAG_TOL
     assert Channel(np.diag([1.0, 1.0, 1.0, -tol / 2]).astype(complex)).is_cp
     assert not Channel(np.diag([1.0, 1.0, 1.0, -2 * tol]).astype(complex)).is_cp
 
@@ -312,15 +314,14 @@ def test_kraus_form_takes_one_eigendecomposition(monkeypatch, n):
     ks = to_kraus(ch)
     s = entropy_exchange(ch, rho)
     assert len(calls) == 1
-    again = to_kraus(ch, cutoff=1e-3)
+    to_kraus(ch)
     assert entropy_exchange(ch, rho) == s and len(calls) == 1
-    assert len(again) <= len(ks)
     with pytest.raises(ValueError):
         ch.choi_eig[1][0, 0] = 0.0  # the cache is read-only
     monkeypatch.undo()
     # bitwise the values of the uncached route
     fresh = Channel(ch.choi)
-    vals, vecs = eig_hermitian(fresh.choi, fresh.tol)
+    vals, vecs = eig_hermitian(fresh.choi, FLAG_TOL)
     assert np.array_equal(ch.choi_eig[0], vals) and np.array_equal(ch.choi_eig[1], vecs)
     assert np.array_equal(to_kraus(fresh).operators, ks.operators)
     assert entropy_exchange(fresh, rho) == s
@@ -338,8 +339,10 @@ def test_sigma_hat_tracial_matches_jam_spectrum():
 def test_sigma_hat_unitary_is_trivial():
     ch = unitary_channel(haar_unitary(2, 29))
     sh = sigma_hat(ch, random_density(2, 30))
-    assert sh.shape == (1, 1)
+    assert sh.shape == (4, 4)
     assert abs(sh[0, 0] - 1) < 1e-12
+    sh[0, 0] = 0.0
+    assert not sh.any()  # every other entry is exactly 0
 
 
 def test_entropy_exchange_at_tracial_state_equals_map_entropy():

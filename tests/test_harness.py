@@ -114,8 +114,8 @@ def test_a_lindblad_batch_calls_each_kernel_once(monkeypatch):
 
 
 def test_a_lindblad_batch_takes_a_rank_deficient_channel(monkeypatch):
-    # Sample 3's channel has Kraus rank 1 (a unitary channel), the others N**2,
-    # so the Kraus route falls back to member-by-member sets.
+    # Sample 3's channel has Kraus rank 1 (a unitary channel), the others N**2;
+    # every Kraus set keeps N**2 slots, three of sample 3's with zero weight.
     index_of = {}
 
     class TaggedStream(harness.RngStream):
@@ -138,7 +138,7 @@ def test_a_lindblad_batch_takes_a_rank_deficient_channel(monkeypatch):
     batch = evaluate_samples("lindblad", 2, 17, range(8))
     assert len(sets) == 3  # lindblad_bounds, the purification and the tracial spectrum
     for ks in sets:
-        assert [len(k) for k in ks] == [4, 4, 4, 1, 4, 4, 4, 4]
+        assert np.count_nonzero(ks.weights, axis=-1).tolist() == [4, 4, 4, 1, 4, 4, 4, 4]
     singles = [evaluate_sample("lindblad", 2, 17, i) for i in range(8)]
     assert batch == singles  # every slack bitwise equal, sample by sample
     assert all(c.passed for checks in batch for c in checks)

@@ -23,7 +23,6 @@ from dynsub.errors import (
     TraceError,
 )
 from dynsub.randgen import (
-    haar_unitary,
     random_bistochastic_matrix,
     random_density,
     random_stochastic,
@@ -272,11 +271,6 @@ def cptp_chois(size, n, seed):
     return tp_renormalize(wisharts(size, n, seed))
 
 
-def unitary_choi(n, seed):
-    v = haar_unitary(n, seed).reshape(-1)
-    return np.outer(v, v.conj())
-
-
 def assert_kraus_members(stacked, singles):
     assert_member_arrays(stacked.operators, [k.operators for k in singles])
     assert_member_arrays(stacked.weights, [k.weights for k in singles])
@@ -345,39 +339,67 @@ def test_channel_kernels_are_stack_polymorphic(n, size):
     )
 
 
+def rank_k_chois(ranks, n, seed):
+    """CP-TP Choi matrices of Kraus rank ``ranks[i]``: renormalized G G^dag with G of N**2 x k."""
+    g = np.random.default_rng(seed)
+    ws = []
+    for k in ranks:
+        gm = g.standard_normal((n * n, k)) + 1j * g.standard_normal((n * n, k))
+        ws.append(gm @ gm.conj().T)
+    return tp_renormalize(np.stack(ws))
+
+
+def trimmed_exchange(ks, ch, rho):
+    """The exchange quantities on the Kraus operators of nonzero weight only.
+
+    The route of variable-length Kraus sets: sigma_hat is k x k for Kraus rank
+    k, and its tracial spectrum is zero-padded to N**2 before it is compared.
+    Returns (entropy_exchange, purified_exchange_entropy, tracial_spectrum_defect).
+    """
+    n = ch.dim
+    ops = ks.operators[ks.weights > 0]
+
+    def sigma(r):
+        return np.einsum("aij,bij->ab", ops @ r, ops.conj())
+
+    p, v = np.linalg.eigh(rho)
+    phi = sum(np.sqrt(max(p[i], 0.0)) * np.kron(v[:, i], v[:, i]) for i in range(n))
+    joint = np.outer(phi, phi.conj())
+    purified = matcore.von_neumann_entropy(channels.apply_kraus(np.kron(np.eye(n), ops), joint))
+    padded = np.zeros(n * n)
+    padded[n * n - len(ops) :] = np.linalg.eigvalsh(sigma(np.eye(n) / n))
+    tracial = np.abs(padded - np.linalg.eigvalsh(channels.jam_state(ch))).max()
+    return matcore.von_neumann_entropy(sigma(rho)), purified, tracial
+
+
 @pytest.mark.parametrize("n", (2, 3))
-def test_kraus_route_falls_back_when_the_counts_differ(n):
-    chois = cptp_chois(7, n, 40 + n)
-    chois[4] = unitary_choi(n, 41 + n)  # one Kraus operator where the others keep N**2
-    rho = densities(7, n, 42 + n)
+def test_kraus_sets_of_every_rank_share_one_shape(n):
+    ranks = [*range(1, n * n + 1), *range(n * n, 0, -1)]
+    chois = rank_k_chois(ranks, n, 40 + n)
+    rho = densities(len(ranks), n, 42 + n)
     stack, singles = Channel(chois), [Channel(d) for d in chois]
     kraus = channels.to_kraus(stack)
-    assert isinstance(kraus, list) and [len(k) for k in kraus] == [n * n] * 4 + [1] + [n * n] * 2
-    for member, c in zip(kraus, singles):
-        own = channels.to_kraus(c)
-        assert bits(member.operators) == bits(own.operators)
-        assert bits(member.weights) == bits(own.weights)
-    sigmas = channels.sigma_hat(stack, rho)
-    for sigma, c, r in zip(sigmas, singles, rho):
-        assert bits(sigma) == bits(channels.sigma_hat(c, r))
-    assert_members(
-        channels.entropy_exchange(stack, rho),
-        [channels.entropy_exchange(c, r) for c, r in zip(singles, rho)],
-    )
-    for member, c, r in zip(kraus, singles, rho):
-        own = channels.apply_kraus(channels.to_kraus(c).operators, r)
-        assert bits(channels.apply_kraus(member.operators, r)) == bits(own)
-    assert_members(
-        channels.purified_exchange_entropy(stack, rho),
-        [channels.purified_exchange_entropy(c, r) for c, r in zip(singles, rho)],
-    )
+    assert kraus.operators.shape == (len(ranks), n * n, n, n) and kraus.weights.shape == (len(ranks), n * n)
+    assert np.count_nonzero(kraus.weights, axis=-1).tolist() == ranks
+    assert not kraus.operators[kraus.weights == 0].any()
+    for i, c in enumerate(singles):
+        for own in (channels.to_kraus(c), channels.to_kraus(Channel(chois[i : i + 1]))):
+            assert bits(kraus.operators[i]) == bits(own.operators.reshape(n * n, n, n))
+            assert bits(kraus.weights[i]) == bits(own.weights.reshape(n * n))
+    assert_member_arrays(channels.sigma_hat(stack, rho), [channels.sigma_hat(c, r) for c, r in zip(singles, rho)])
+    exchange = channels.entropy_exchange(stack, rho)
+    purified = channels.purified_exchange_entropy(stack, rho)
+    tracial = channels.tracial_spectrum_defect(stack)
+    assert_members(exchange, [channels.entropy_exchange(c, r) for c, r in zip(singles, rho)])
+    assert_members(purified, [channels.purified_exchange_entropy(c, r) for c, r in zip(singles, rho)])
     assert_members(
         channels.purified_exchange_entropy(stack, rho[0]),
         [channels.purified_exchange_entropy(c, rho[0]) for c in singles],
     )
-    assert_members(
-        channels.tracial_spectrum_defect(stack), [channels.tracial_spectrum_defect(c) for c in singles]
-    )
+    assert_members(tracial, [channels.tracial_spectrum_defect(c) for c in singles])
+    for i, c in enumerate(singles):
+        oracle = trimmed_exchange(channels.to_kraus(c), c, rho[i])
+        assert np.abs(np.array([exchange[i], purified[i], tracial[i]]) - oracle).max() < 1e-12
 
 
 def non_cp(d):
