@@ -8,7 +8,8 @@ equality cross-check ``a == b`` it is ``-|a - b|``.  A check passes when
 its slack is at least minus its tolerance (see ``TOLERANCES``).
 
 Because any sample is a pure function of (seed, index), the worst case of
-a suite can be replayed exactly from the report.
+a suite can be replayed exactly from the report, and a batch can be split
+over processes without changing a bit.
 
 A suite evaluates a batch of samples at once (:func:`run_suite` passes up
 to ``BATCH`` indices at a time).  Its sample function makes every sample's
@@ -26,11 +27,21 @@ batch.  A Sinkhorn draw's result does not depend on its stack, and a stacked
 kernel gives each member the bits of its own call, so replay,
 :func:`evaluate_sample`, runs the same code on a batch of one and
 reproduces every bit of the batched run.
+
+A ``quasifree`` batch of at least ``QF_SPLIT_MIN_MODES`` modes is split
+into contiguous slices, one per worker: the cores in the process's affinity
+mask divided by OpenBLAS's threads, at most one per sample.  The process
+evaluates the first slice and forked workers the others
+(:func:`_in_forked_workers`); the results are joined in index order, so the
+report is the serial run's, byte for byte.  Every other batch, and every
+batch with fewer than two workers, runs serially in the process;
+``multiprocessing`` is imported only when a batch is split.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -430,10 +441,104 @@ def _entangled_projector_defect(modes: int) -> float:
     return max(proj_dev, marg_dev)
 
 
+# quasifree batches of at least this many modes are split over forked workers
+# (see _in_forked_workers).  At 64 modes a sample costs about 19 ms, and on a
+# 2-core VM with one BLAS thread the split cut the wall time of an 80-sample
+# batch by 40 % for 5 % more CPU time, children included.  At 4 modes a
+# sample costs about 2 ms; splitting that batch too added 13 % CPU time and
+# saved no wall time.
+QF_SPLIT_MIN_MODES = 16
+
+
+def _blas_threads(cores: int) -> int:
+    """The threads OpenBLAS runs, as it reads them when it starts.
+
+    The first positive count among ``OPENBLAS_NUM_THREADS``,
+    ``GOTO_NUM_THREADS`` and ``OMP_NUM_THREADS``; with none set, one per core.
+    """
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(name, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return int(value)
+    return cores
+
+
 def _sample_quasifree(modes: int, gens, tol: float) -> list[list[Check]]:
     # The identity map's symbol is the same in every sample: one evaluation per batch.
     projector_dev = _entangled_projector_defect(modes)
-    return [_quasifree_sample(modes, g, tol, projector_dev) for g in gens]
+
+    def evaluate(part) -> list[list[Check]]:
+        return [_quasifree_sample(modes, g, tol, projector_dev) for g in part]
+
+    # Workers share the cores with BLAS's threads: a BLAS that already runs
+    # one thread per core leaves none to split over.  On 2 cores with two BLAS
+    # threads in each of two workers, a 40-sample batch at 64 modes took 2.6 s,
+    # against 0.8 s serially.
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cores // _blas_threads(cores), len(gens)) if modes >= QF_SPLIT_MIN_MODES else 1
+    if workers < 2:
+        return evaluate(gens)
+    return _in_forked_workers(evaluate, gens, workers)
+
+
+def _in_forked_workers(evaluate, items: list, workers: int) -> list:
+    """``evaluate(items)``, with ``items`` cut into ``workers`` contiguous slices.
+
+    The calling process evaluates the first slice; each other slice goes to a
+    forked child, which sends its results back through a one-way pipe.
+    Results come back in the order of ``items``.  ``evaluate`` must return a
+    list, and must not depend on which process runs it: a sample draws only
+    from its own stream, so its bits are the same in any process.  A child's
+    exception is raised again here with its own type.  Every child is joined
+    before this returns or raises; when this raises, unfinished children are
+    terminated first.
+
+    The ``fork`` start method lets a child inherit the loaded modules (and
+    any test's monkeypatches) without importing anything again.  The process
+    has no Python threads of its own at this point; OpenBLAS stops its thread
+    pool around a fork.
+    """
+    import multiprocessing  # only a split batch pays for the import
+
+    ctx = multiprocessing.get_context("fork")
+    cuts = [len(items) * k // workers for k in range(workers + 1)]
+    children = []
+    done = False
+    try:
+        for lo, hi in zip(cuts[1:-1], cuts[2:]):
+            receiver, sender = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_send_results, args=(evaluate, items[lo:hi], sender), daemon=True)
+            child.start()
+            children.append((child, receiver))
+            sender.close()  # the child holds the only send end, so its exit ends the pipe
+        results = evaluate(items[: cuts[1]])
+        for child, receiver in children:
+            try:
+                ok, value = receiver.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(f"a worker exited with code {child.exitcode} and sent no results") from None
+            if not ok:
+                raise value
+            results += value
+        done = True
+        return results
+    finally:
+        for child, receiver in children:
+            if not done:
+                child.terminate()
+            child.join()
+            receiver.close()
+
+
+def _send_results(evaluate, items: list, sender) -> None:
+    """A worker's body: send ``(True, evaluate(items))``, or ``(False, exception)``."""
+    try:
+        message = (True, evaluate(items))
+    except Exception as exc:
+        message = (False, exc)
+    sender.send(message)
+    sender.close()
 
 
 def _quasifree_sample(modes: int, g, tol: float, projector_dev: float) -> list[Check]:
@@ -441,10 +546,11 @@ def _quasifree_sample(modes: int, g, tol: float, projector_dev: float) -> list[C
     b2 = random_qf_map(modes, g, bistochastic=True)
     # S(Phi_1) from the 2N-mode symbol's spectrum; S(Phi_2) and S(Phi_2 Phi_1)
     # from the closed form in R's singular values.  qf_compose(b2, b1) is the
-    # bistochastic map of R_1 R_2.
+    # bistochastic map of R_1 R_2, so S(Phi_2 Phi_1) needs only sigma(R_1 R_2),
+    # not the map's Z.
     s1 = qf.qf_map_entropy(b1)
     s2 = qf.qf_bistochastic_entropy(b2)
-    s21 = qf.qf_bistochastic_entropy(qf.qf_bistochastic(b1.r @ b2.r))
+    s21 = qf.qf_bistochastic_entropy(b1.r @ b2.r)
     adjoint = qf.qf_adjoint(b1)
     checks = [
         _ineq("qf.subadditivity.upper", s1 + s2 - s21, tol),

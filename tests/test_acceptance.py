@@ -139,10 +139,9 @@ def test_criterion_10_power_subadditivity():
     _report(10, "iterated-map entropy bound, 100 draws at N = 2, 3, n <= 5", elapsed, 10)
 
 
-def test_criterion_11_deterministic_reports(tmp_path, capsys, monkeypatch):
+def test_criterion_11_deterministic_reports(tmp_path, capsys):
     from dynsub.cli import main
 
-    monkeypatch.setenv("DYNSUB_THREADS", "2")
     outputs = []
     for run in range(2):
         path = tmp_path / f"report{run}.json"

@@ -1,12 +1,19 @@
 import json
 import math
+import multiprocessing
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dynsub
 from dynsub import channels, classical, harness, matcore
 from dynsub import quasifree as qf
-from dynsub.errors import DomainError
+from dynsub.errors import DomainError, NormError
 from dynsub.harness import SUITES, evaluate_sample, evaluate_samples, run_all, run_suite
 
 
@@ -237,11 +244,90 @@ def test_run_all_rejects_zero_samples():
         run_all(seed=0, samples=0, suites=["lindblad"], dims=[2])
 
 
-def test_threaded_run_matches_serial(monkeypatch):
-    serial = run_suite("data_processing", 2, samples=16, seed=13)
-    monkeypatch.setenv("DYNSUB_THREADS", "4")
-    threaded = run_suite("data_processing", 2, samples=16, seed=13)
-    assert serial.to_dict() == threaded.to_dict()
+def _cores(monkeypatch, count, blas_threads=1):
+    """Make the harness see ``count`` usable cores and BLAS run ``blas_threads``.
+
+    ``None`` leaves BLAS's thread count unset, so the harness takes it as one
+    per core.  Only the harness's view changes; BLAS keeps the threads it
+    started with.
+    """
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    if blas_threads is not None:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", str(blas_threads))
+
+
+def _slack_bytes(batch):
+    return [[(c.name, struct.pack("<d", c.slack)) for c in checks] for checks in batch]
+
+
+def test_forked_quasifree_batch_matches_serial(monkeypatch):
+    # 6 samples over 3 workers: the parent evaluates 0-1, two children 2-3 and 4-5.
+    splits = _count_calls(monkeypatch, [harness], "_in_forked_workers")
+    _cores(monkeypatch, 3)
+    forked = run_suite("quasifree", 64, samples=6, seed=13)
+    forked_batch = evaluate_samples("quasifree", 64, 13, range(6))
+    assert len(splits) == 2  # the replay of the worst sample is a serial batch of one
+    _cores(monkeypatch, 1)
+    serial = run_suite("quasifree", 64, samples=6, seed=13)
+    serial_batch = evaluate_samples("quasifree", 64, 13, range(6))
+    assert len(splits) == 2
+    assert forked.to_dict() == serial.to_dict()
+    assert _slack_bytes(forked_batch) == _slack_bytes(serial_batch)  # bitwise, sample by sample
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("side", ["parent", "child"])
+def test_a_failed_quasifree_split_reaps_its_child(side, monkeypatch):
+    # 4 samples over 2 workers: the parent evaluates 0-1, the child 2-3.  The
+    # adjoint route raises in the first sample of one side's slice.
+    parent = os.getpid()
+    original = qf.qf_adjoint
+
+    def failing(m):
+        if (os.getpid() == parent) == (side == "parent"):
+            raise NormError("injected failure")
+        return original(m)
+
+    monkeypatch.setattr(qf, "qf_adjoint", failing)
+    _cores(monkeypatch, 2)
+    with pytest.raises(NormError, match="injected failure"):
+        run_suite("quasifree", 64, samples=4, seed=42)
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)  # no child left, not even an unreaped one
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a batch that should stay serial reached multiprocessing")
+
+
+@pytest.mark.parametrize(
+    "modes, cores, blas_threads",
+    [(4, 4, 1), (64, 1, 1), (64, 2, None), (64, 3, 2)],
+)
+def test_a_serial_quasifree_batch_stays_in_process(modes, cores, blas_threads, monkeypatch):
+    # 4-mode batches stay serial whatever the core count, and so does a 64-mode
+    # batch when BLAS's threads leave fewer than two workers' worth of cores.
+    monkeypatch.setattr(multiprocessing, "get_context", _refuse)
+    _cores(monkeypatch, cores, blas_threads)
+    assert run_suite("quasifree", modes, samples=3, seed=42).passed
+
+
+def test_one_quasifree_sample_does_not_import_multiprocessing():
+    # The benchmark's set-up call, in a fresh interpreter.
+    src = Path(dynsub.__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        "from dynsub.cli import main\n"
+        "code = main(['verify', '--suite', 'quasifree', '--dim', '4', '--samples', '1', '--seed', '42'])\n"
+        "assert code == 0, code\n"
+        "assert 'multiprocessing' not in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_unknown_suite_raises():
