@@ -14,11 +14,14 @@ over processes without changing a bit.
 A suite evaluates a batch of samples at once (:func:`run_suite` passes up
 to ``BATCH`` indices at a time).  Its sample function makes every sample's
 draws from that sample's own stream, in a fixed order, then computes the
-checks of the whole batch.  Every suite but ``quasifree``, which calls its
-kernels once per sample in index order, evaluates its checks on stacks, each
-library kernel running once per batch: ``classical`` on ``(B, N, N)``
-matrices and ``(B, N)`` vectors, the other seven on one :class:`Channel`
-per role over a ``(B, N**2, N**2)`` stack of Choi matrices.
+checks of the whole batch.  Every suite evaluates its checks on stacks:
+``classical`` on ``(B, N, N)`` matrices and ``(B, N)`` vectors, seven
+suites on one :class:`Channel` per role over a ``(B, N**2, N**2)`` stack of
+Choi matrices, each library kernel running once per batch, and
+``quasifree`` on one stacked :class:`~dynsub.quasifree.QFMap` per role,
+extreme and interior maps side by side under a mask, each kernel running
+once per chunk of at most ``QF_CHUNK_BYTES`` of ``(B, 2N, 2N)`` map
+symbols: the whole batch at 4 modes, one sample at 64.
 The six suites with Sinkhorn draws (Wishart Choi matrices, or positive
 matrices in ``classical``) scale all of the batch's starts in one call
 (:func:`operator_sinkhorn`, or :func:`matrix_sinkhorn` in ``classical``);
@@ -29,13 +32,14 @@ kernel gives each member the bits of its own call, so replay,
 reproduces every bit of the batched run.
 
 A ``quasifree`` batch of at least ``QF_SPLIT_MIN_MODES`` modes is split
-into contiguous slices, one per worker: the cores in the process's affinity
-mask divided by OpenBLAS's threads, at most one per sample.  The process
-evaluates the first slice and forked workers the others
-(:func:`_in_forked_workers`); the results are joined in index order, so the
-report is the serial run's, byte for byte.  Every other batch, and every
-batch with fewer than two workers, runs serially in the process;
-``multiprocessing`` is imported only when a batch is split.
+into contiguous slices of its index range, one per worker: the cores in the
+process's affinity mask divided by OpenBLAS's threads, at most one per
+sample.  The process evaluates the first slice and forked workers the others
+(:func:`_in_forked_workers`), each slice in its own chunks; the results are
+joined in index order, so the report is the serial run's, byte for byte.
+Every other batch, and every batch with fewer than two workers, runs
+serially in the process; ``multiprocessing`` is imported only when a batch
+is split.
 """
 
 from __future__ import annotations
@@ -64,13 +68,18 @@ from .errors import DomainError
 from .matcore import max_entangled_projector, partial_trace, von_neumann_entropy
 from .randgen import (
     RngStream,
+    contractions,
+    draw_contraction,
+    draw_qf_map,
+    draw_symbol,
     matrix_sinkhorn,
     operator_sinkhorn,
     positive_matrix,
+    qf_maps,
     random_density,
-    random_qf_map,
     random_stochastic,
-    random_symbol,
+    stack_draws,
+    symbols,
     tp_renormalize,
     wishart_choi,
 )
@@ -442,12 +451,20 @@ def _entangled_projector_defect(modes: int) -> float:
 
 
 # quasifree batches of at least this many modes are split over forked workers
-# (see _in_forked_workers).  At 64 modes a sample costs about 19 ms, and on a
-# 2-core VM with one BLAS thread the split cut the wall time of an 80-sample
-# batch by 40 % for 5 % more CPU time, children included.  At 4 modes a
-# sample costs about 2 ms; splitting that batch too added 13 % CPU time and
-# saved no wall time.
+# (see _in_forked_workers).  On a 2-core VM with one BLAS thread, a 64-mode
+# sample costs about 19 ms, more than half of it LAPACK on 128x128 symbols,
+# and the split cut the wall time of an 80-sample batch by 35-40 %.  A 4-mode
+# batch is one stacked chunk of about 0.3 ms per sample; a split would add
+# little but a fork.
 QF_SPLIT_MIN_MODES = 16
+
+# A quasifree chunk holds at most this many bytes of (B, 2N, 2N) complex map
+# symbols: the whole batch at 4 modes, one sample at 64.  On the same VM, in
+# CPU time, an 80-sample 4-mode call took 0.118 s in chunks of one sample and
+# 0.021 s in one chunk; a 16-sample 64-mode call took 0.25 s in chunks of one
+# and 0.26-0.29 s in chunks of 4 or 16, where LAPACK costs the same per
+# stacked matrix and the larger stacks fall out of cache.
+QF_CHUNK_BYTES = 256 * 1024
 
 
 def _blas_threads(cores: int) -> int:
@@ -466,9 +483,14 @@ def _blas_threads(cores: int) -> int:
 def _sample_quasifree(modes: int, gens, tol: float) -> list[list[Check]]:
     # The identity map's symbol is the same in every sample: one evaluation per batch.
     projector_dev = _entangled_projector_defect(modes)
+    chunk = max(1, QF_CHUNK_BYTES // (16 * (2 * modes) ** 2))
 
     def evaluate(part) -> list[list[Check]]:
-        return [_quasifree_sample(modes, g, tol, projector_dev) for g in part]
+        return [
+            checks
+            for lo in range(0, len(part), chunk)
+            for checks in _quasifree_chunk(modes, part[lo : lo + chunk], tol, projector_dev)
+        ]
 
     # Workers share the cores with BLAS's threads: a BLAS that already runs
     # one thread per core leaves none to split over.  On 2 cores with two BLAS
@@ -541,9 +563,20 @@ def _send_results(evaluate, items: list, sender) -> None:
     sender.close()
 
 
-def _quasifree_sample(modes: int, g, tol: float, projector_dev: float) -> list[Check]:
-    b1 = random_qf_map(modes, g, bistochastic=True)
-    b2 = random_qf_map(modes, g, bistochastic=True)
+def _quasifree_chunk(modes: int, gens, tol: float, projector_dev: float) -> list[list[Check]]:
+    fock = modes <= qf.MODE_LIMIT
+    b1, b2, m1, m2, q, qs = [], [], [], [], [], []
+    for g in gens:
+        b1.append(draw_contraction(modes, g))
+        b2.append(draw_contraction(modes, g))
+        m1.append(draw_qf_map(modes, g))
+        m2.append(draw_qf_map(modes, g))
+        q.append(draw_symbol(modes, g))
+        if fock:
+            qs.append(draw_symbol(modes, g))
+    b1, b2 = (qf.qf_bistochastic(contractions(*stack_draws(d))) for d in (b1, b2))
+    m1, m2 = (qf_maps(*stack_draws(d)) for d in (m1, m2))
+    q = symbols(*stack_draws(q))
     # S(Phi_1) from the 2N-mode symbol's spectrum; S(Phi_2) and S(Phi_2 Phi_1)
     # from the closed form in R's singular values.  qf_compose(b2, b1) is the
     # bistochastic map of R_1 R_2, so S(Phi_2 Phi_1) needs only sigma(R_1 R_2),
@@ -552,32 +585,30 @@ def _quasifree_sample(modes: int, g, tol: float, projector_dev: float) -> list[C
     s2 = qf.qf_bistochastic_entropy(b2)
     s21 = qf.qf_bistochastic_entropy(b1.r @ b2.r)
     adjoint = qf.qf_adjoint(b1)
-    checks = [
-        _ineq("qf.subadditivity.upper", s1 + s2 - s21, tol),
-        _ineq("qf.subadditivity.lower", s21 - max(s1, s2), tol),
-        _eq("qf.closed_form", s1 - qf.qf_bistochastic_entropy(b1)),
-        _eq("qf.adjoint_symmetry", s1 - qf.qf_map_entropy(adjoint)),
+    columns = [
+        _ineqs("qf.subadditivity.upper", s1 + s2 - s21, tol),
+        _ineqs("qf.subadditivity.lower", s21 - _most(s1, s2), tol),
+        _eqs("qf.closed_form", s1 - qf.qf_bistochastic_entropy(b1)),
+        _eqs("qf.adjoint_symmetry", s1 - qf.qf_map_entropy(adjoint)),
     ]
 
-    m1 = random_qf_map(modes, g)
-    m2 = random_qf_map(modes, g)
     m21 = qf.qf_compose(m2, m1)
-    q = random_symbol(modes, g)
-    oracle = np.abs(qf.qf_apply(m21, q) - qf.qf_apply(m2, qf.qf_apply(m1, q))).max()
-    checks.append(_eq("qf.compose_oracle", oracle))
+    oracle = _max_abs(qf.qf_apply(m21, q) - qf.qf_apply(m2, qf.qf_apply(m1, q)))
+    columns.append(_eqs("qf.compose_oracle", oracle))
     j1 = qf.qf_jam_symbol(m1)
-    odot_dev = np.abs(qf.qf_odot_symbol(qf.qf_jam_symbol(m2), j1) - qf.qf_jam_symbol(m21)).max()
-    checks.append(_eq("qf.odot_oracle", odot_dev))
+    odot_dev = _max_abs(qf.qf_odot_symbol(qf.qf_jam_symbol(m2), j1) - qf.qf_jam_symbol(m21))
+    columns.append(_eqs("qf.odot_oracle", odot_dev))
 
     jam_vals = np.linalg.eigvalsh(j1)
-    checks.append(_ineq("qf.jam_validity", min(jam_vals.min(), 1.0 - jam_vals.max()), tol))
-    checks.append(_eq("qf.entangled_projector", projector_dev))
+    jam_margin = _least(jam_vals.min(axis=-1), 1.0 - jam_vals.max(axis=-1))
+    columns.append(_ineqs("qf.jam_validity", jam_margin, tol))
+    columns.append([_eq("qf.entangled_projector", projector_dev)] * len(gens))
 
-    if modes <= qf.MODE_LIMIT:
-        qs = random_symbol(modes, g)
+    if fock:
+        qs = symbols(*stack_draws(qs))
         fock_dev = von_neumann_entropy(qf.fock_density(qs)) - qf.qf_state_entropy(qs)
-        checks.append(_eq("qf.fock_entropy", fock_dev))
-    return checks
+        columns.append(_eqs("qf.fock_entropy", fock_dev))
+    return _by_sample(*columns)
 
 
 def _sample_power_subadd(dim: int, gens, tol: float) -> list[list[Check]]:

@@ -104,12 +104,31 @@ def max_entangled_projector(n: int) -> np.ndarray:
     return np.outer(v, v) / n
 
 
+def _dag(x: np.ndarray) -> np.ndarray:
+    return x.conj().swapaxes(-1, -2)
+
+
+def _half_sum(x: np.ndarray, x_dag: np.ndarray) -> np.ndarray:
+    """``(x + x_dag)/2``; a float or complex sum is halved in place, one temporary, not two."""
+    out = x + x_dag
+    if out.dtype.kind not in "fc":
+        return out / 2
+    out /= 2
+    return out
+
+
 def hermitian_part(x: np.ndarray) -> np.ndarray:
     """``(x + x^dag)/2`` of a matrix or a stack of them.
 
     The result is exactly Hermitian, so applying it twice changes no bit.
     """
-    return (x + x.conj().swapaxes(-1, -2)) / 2
+    return _half_sum(x, _dag(x))
+
+
+def _defect(x: np.ndarray, x_dag: np.ndarray):
+    """:func:`hermiticity_defect` of ``x``, given its conjugate transpose."""
+    scale = np.maximum(np.abs(x).max(axis=(-2, -1)), 1.0)
+    return np.abs(x - x_dag).max(axis=(-2, -1)) / scale
 
 
 def hermiticity_defect(x: np.ndarray):
@@ -119,17 +138,17 @@ def hermiticity_defect(x: np.ndarray):
     one, an array for a stack.
     """
     x = _as_square(x, stack=True)
-    scale = np.maximum(np.abs(x).max(axis=(-2, -1)), 1.0)
-    return np.abs(x - x.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) / scale
+    return _defect(x, _dag(x))
 
 
 def _checked_hermitian_part(x: np.ndarray, hermit_tol: float, what: str, defect=None) -> np.ndarray:
     x = _as_square(x, stack=True)
+    x_dag = _dag(x)  # one conjugate transpose for the check and the part
     if defect is None:
-        defect = hermiticity_defect(x).max(initial=0.0)
+        defect = _defect(x, x_dag).max(initial=0.0)
     if defect > hermit_tol:
         raise HermiticityError(f"{what} deviates from Hermiticity by {defect:.3e}")
-    return hermitian_part(x)
+    return _half_sum(x, x_dag)
 
 
 def hermitian_eigvals(x: np.ndarray, hermit_tol: float, what: str = "matrix") -> np.ndarray:
@@ -165,9 +184,9 @@ def check_spectrum(vals: np.ndarray, tol: float, upper=None, error=PositivityErr
 
 
 def psd_sqrt(x: np.ndarray) -> np.ndarray:
-    """Square root of a matrix PSD by construction; negative eigenvalues count as 0."""
+    """Square root of a matrix PSD by construction, or of a stack of them; negative eigenvalues count as 0."""
     vals, vecs = np.linalg.eigh(hermitian_part(x))
-    return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
+    return (vecs * np.sqrt(np.clip(vals, 0.0, None))[..., None, :]) @ _dag(vecs)
 
 
 def psd_inv_sqrt(x: np.ndarray) -> np.ndarray:
@@ -178,12 +197,12 @@ def psd_inv_sqrt(x: np.ndarray) -> np.ndarray:
     """
     vals, vecs = np.linalg.eigh(hermitian_part(x))
     scale = 1.0 / np.sqrt(np.maximum(vals, 1e-300))
-    return (vecs * scale[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    return (vecs * scale[..., None, :]) @ _dag(vecs)
 
 
 def singular_values(x: np.ndarray) -> np.ndarray:
-    """Singular values of a square matrix, in descending order."""
-    return np.linalg.svd(_as_square(x), compute_uv=False)
+    """Singular values of a square matrix, or of each matrix of a stack, in descending order."""
+    return np.linalg.svd(_as_square(x, stack=True), compute_uv=False)
 
 
 def eta(x, clamp_tol: float = CLAMP_TOL):

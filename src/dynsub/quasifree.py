@@ -18,6 +18,12 @@ them.  Two bistochastic maps compose to the bistochastic map of
 R_earlier R_later, and the bistochastic map of R^dag (``qf_adjoint``)
 shares R's singular values.  ``fock_density`` realizes a symbol as an
 explicit 2**N-dimensional density matrix for small N.
+
+Every kernel but ``qf_validate`` and ``qf_extreme_entropy`` takes one map or
+symbol, or a stack of them along leading axes: a ``QFMap`` may hold
+``(..., N, N)`` stacks of R and Z.  A stack's members get the bits of their
+own calls, and a one-member result is a Python float where a stack's is an
+array.
 """
 
 from __future__ import annotations
@@ -40,6 +46,8 @@ from .errors import (
 )
 from .matcore import (
     _as_square,
+    _dag,
+    _float_or_stack,
     check_spectrum,
     eig_hermitian,
     eta,
@@ -53,16 +61,13 @@ from .matcore import (
 SYMBOL_TOL = 1e-9
 
 
-def _symbol_spectrum(q: np.ndarray, tol: float) -> np.ndarray:
-    vals = hermitian_eigvals(q, tol, "symbol")
+def _symbol_bounds(vals: np.ndarray, tol: float) -> np.ndarray:
+    """``vals`` if they are a symbol's eigenvalues, in [0, 1] within ``tol``."""
     return check_spectrum(vals, tol, upper=1.0, error=ConstraintError, what="symbol")
 
 
-def validate_symbol(q: np.ndarray, tol: float = SYMBOL_TOL) -> np.ndarray:
-    """Check 0 <= Q <= 1 and Hermiticity within ``tol``."""
-    q = _as_square(np.asarray(q, dtype=complex))
-    _symbol_spectrum(q, tol)
-    return q
+def _symbol_spectrum(q: np.ndarray, tol: float) -> np.ndarray:
+    return _symbol_bounds(hermitian_eigvals(q, tol, "symbol"), tol)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -73,11 +78,12 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QFMap:
-    """A quasi-free channel, stored as the defining pair (R, Z).
+    """A quasi-free channel, stored as the defining pair (R, Z), or a stack of them.
 
-    :attr:`sigma` computes R's singular values on first use, the way
-    ``Channel`` computes its ``jam_spectrum``.  The constructors of this
-    module that check R's norm fill it with the values of that check.
+    ``r`` and ``z`` are ``(N, N)`` matrices, or ``(..., N, N)`` stacks of the
+    members' matrices.  :attr:`sigma` computes R's singular values on first
+    use, the way ``Channel`` computes its ``jam_spectrum``.  The constructors
+    of this module that check R's norm fill it with the values of that check.
     """
 
     r: np.ndarray
@@ -85,12 +91,12 @@ class QFMap:
 
     @cached_property
     def sigma(self) -> np.ndarray:
-        """Singular values of R, descending; computed once, read-only."""
+        """Singular values of R, descending, ``(..., N)``; computed once, read-only."""
         return _read_only(singular_values(self.r))
 
     @property
     def modes(self) -> int:
-        return self.r.shape[0]
+        return self.r.shape[-1]
 
 
 def _with_sigma(m: QFMap, sigma: np.ndarray) -> QFMap:
@@ -115,10 +121,10 @@ def qf_validate(r: np.ndarray, z: np.ndarray, tol: float = SYMBOL_TOL) -> QFMap:
 
 def qf_apply(m: QFMap, q: np.ndarray) -> np.ndarray:
     """Symbol action Q -> R^dag Q R + Z."""
-    q = _as_square(np.asarray(q, dtype=complex))
-    if q.shape[0] != m.modes:
-        raise DimensionError(f"symbol dim {q.shape[0]} does not match map modes {m.modes}")
-    return m.r.conj().T @ q @ m.r + m.z
+    q = _as_square(np.asarray(q, dtype=complex), stack=True)
+    if q.shape[-1] != m.modes:
+        raise DimensionError(f"symbol dim {q.shape[-1]} does not match map modes {m.modes}")
+    return _dag(m.r) @ q @ m.r + m.z
 
 
 def qf_compose(later: QFMap, earlier: QFMap) -> QFMap:
@@ -133,36 +139,36 @@ def qf_compose(later: QFMap, earlier: QFMap) -> QFMap:
     if later.modes != earlier.modes:
         raise DimensionError(f"modes differ: {later.modes} vs {earlier.modes}")
     r = earlier.r @ later.r
-    z = hermitian_part(later.r.conj().T @ earlier.z @ later.r + later.z)
+    z = hermitian_part(_dag(later.r) @ earlier.z @ later.r + later.z)
     return QFMap(r, z)
 
 
 def _half_symbol(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
     """The 2N-mode symbol [[1, upper], [upper^dag, lower]]/2, filled in place."""
-    n = upper.shape[0]
-    sym = np.zeros((2 * n, 2 * n), dtype=complex)
-    sym[:n, :n] = np.eye(n)
-    sym[:n, n:] = upper
-    sym[n:, :n] = upper.conj().T
-    sym[n:, n:] = lower
+    n = upper.shape[-1]
+    sym = np.zeros(upper.shape[:-2] + (2 * n, 2 * n), dtype=complex)
+    sym[..., :n, :n] = np.eye(n)
+    sym[..., :n, n:] = upper
+    sym[..., n:, :n] = _dag(upper)
+    sym[..., n:, n:] = lower
     sym *= 0.5
     return sym
 
 
 def qf_jam_symbol(m: QFMap) -> np.ndarray:
     """The 2N-mode symbol encoding the map, block form [[1, R], [R^dag, R^dag R + 2Z]]/2."""
-    return _half_symbol(m.r, hermitian_part(m.r.conj().T @ m.r + 2 * m.z))
+    return _half_symbol(m.r, hermitian_part(_dag(m.r) @ m.r + 2 * m.z))
 
 
 def _split_blocks(sym: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    sym = _as_square(np.asarray(sym, dtype=complex))
-    d = sym.shape[0]
+    sym = _as_square(np.asarray(sym, dtype=complex), stack=True)
+    d = sym.shape[-1]
     if d % 2 != 0:
         raise BlockFormError(f"symbol dimension {d} is odd")
     n = d // 2
-    if np.abs(sym[:n, :n] - 0.5 * np.eye(n)).max() > tol:
+    if np.abs(sym[..., :n, :n] - 0.5 * np.eye(n)).max() > tol:
         raise BlockFormError("top-left block is not 1/2 identity")
-    return 2 * sym[:n, n:], 2 * sym[n:, n:]
+    return 2 * sym[..., :n, n:], 2 * sym[..., n:, n:]
 
 
 def qf_odot_symbol(later_sym: np.ndarray, earlier_sym: np.ndarray, tol: float = 1e-8) -> np.ndarray:
@@ -173,21 +179,33 @@ def qf_odot_symbol(later_sym: np.ndarray, earlier_sym: np.ndarray, tol: float = 
     """
     l1, l2 = _split_blocks(later_sym, tol)
     e1, e2 = _split_blocks(earlier_sym, tol)
-    if l1.shape != e1.shape:
-        raise DimensionError(f"operand mode counts differ: {l1.shape[0]} vs {e1.shape[0]}")
-    t2 = hermitian_part(l1.conj().T @ (e2 - np.eye(l1.shape[0])) @ l1 + l2)
+    if l1.shape[-1] != e1.shape[-1]:
+        raise DimensionError(f"operand mode counts differ: {l1.shape[-1]} vs {e1.shape[-1]}")
+    t2 = hermitian_part(_dag(l1) @ (e2 - np.eye(l1.shape[-1])) @ l1 + l2)
     return _half_symbol(e1 @ l1, t2)
 
 
-def qf_state_entropy(q: np.ndarray, tol: float = SYMBOL_TOL) -> float:
+def _spectrum_entropy(vals: np.ndarray):
+    """Sum over a symbol's eigenvalues ``vals`` of eta(v) + eta(1-v), of each spectrum of a stack."""
+    vals = np.clip(vals, 0.0, 1.0)
+    return _float_or_stack(np.sum(eta(vals), axis=-1) + np.sum(eta(1.0 - vals), axis=-1))
+
+
+def qf_state_entropy(q: np.ndarray, tol: float = SYMBOL_TOL):
     """Entropy of a quasi-free state: sum over eigenvalues of eta(q) + eta(1-q)."""
-    vals = np.clip(_symbol_spectrum(np.asarray(q, dtype=complex), tol), 0.0, 1.0)
-    return float(np.sum(eta(vals)) + np.sum(eta(1.0 - vals)))
+    return _spectrum_entropy(_symbol_spectrum(np.asarray(q, dtype=complex), tol))
 
 
-def qf_map_entropy(m: QFMap) -> float:
-    """Entropy of the 2N-mode symbol encoding the map."""
-    return qf_state_entropy(qf_jam_symbol(m))
+def qf_map_entropy(m: QFMap):
+    """Entropy of the 2N-mode symbol encoding the map.
+
+    :func:`qf_jam_symbol` builds an exactly Hermitian symbol, for any R and
+    Z, so its spectrum is taken without the spectral kernel's Hermiticity
+    check and symmetrization, which would change no bit of it; the bounds
+    0 <= Q <= 1 are checked.
+    """
+    vals = np.linalg.eigvalsh(qf_jam_symbol(m))
+    return _spectrum_entropy(_symbol_bounds(vals, SYMBOL_TOL))
 
 
 def _require_contraction(sigma: np.ndarray, tol: float) -> None:
@@ -195,7 +213,7 @@ def _require_contraction(sigma: np.ndarray, tol: float) -> None:
         raise NormError("R has operator norm above 1")
 
 
-def qf_bistochastic_entropy(r: np.ndarray | QFMap) -> float:
+def qf_bistochastic_entropy(r: np.ndarray | QFMap):
     """Closed form for bistochastic maps: 2 sum_j eta((1+l_j)/2) + eta((1-l_j)/2)
     over the singular values l_j of R.
 
@@ -206,7 +224,7 @@ def qf_bistochastic_entropy(r: np.ndarray | QFMap) -> float:
     lam = r.sigma if isinstance(r, QFMap) else singular_values(r)
     _require_contraction(lam, SYMBOL_TOL)
     lam = np.clip(lam, 0.0, 1.0)
-    return float(2 * np.sum(eta((1 + lam) / 2) + eta((1 - lam) / 2)))
+    return _float_or_stack(2 * np.sum(eta((1 + lam) / 2) + eta((1 - lam) / 2), axis=-1))
 
 
 def qf_extreme_entropy(r: np.ndarray, p: np.ndarray) -> float:
@@ -218,12 +236,12 @@ def qf_extreme_entropy(r: np.ndarray, p: np.ndarray) -> float:
 
 
 def _bistochastic_z(r: np.ndarray) -> np.ndarray:
-    return hermitian_part(np.eye(r.shape[0]) - r.conj().T @ r) / 2
+    return hermitian_part(np.eye(r.shape[-1]) - _dag(r) @ r) / 2
 
 
 def qf_bistochastic(r: np.ndarray, tol: float = SYMBOL_TOL) -> QFMap:
     """The bistochastic map with Z = (1 - R^dag R)/2; requires ||R|| <= 1."""
-    r = _as_square(np.asarray(r, dtype=complex))
+    r = _as_square(np.asarray(r, dtype=complex), stack=True)
     sigma = singular_values(r)
     _require_contraction(sigma, tol)
     return _with_sigma(QFMap(r, _bistochastic_z(r)), sigma)
@@ -239,21 +257,21 @@ def qf_adjoint(m: QFMap) -> QFMap:
     singular values are read.
     """
     _require_contraction(m.sigma, SYMBOL_TOL)
-    r = m.r.conj().T
+    r = _dag(m.r)
     return _with_sigma(QFMap(r, _bistochastic_z(r)), m.sigma)
 
 
 def qf_extreme(r: np.ndarray, p: np.ndarray, tol: float = SYMBOL_TOL) -> QFMap:
     """The extreme map with Z = sqrt(1 - R^dag R) P sqrt(1 - R^dag R)."""
-    r = _as_square(np.asarray(r, dtype=complex))
-    p = _as_square(np.asarray(p, dtype=complex))
+    r = _as_square(np.asarray(r, dtype=complex), stack=True)
+    p = _as_square(np.asarray(p, dtype=complex), stack=True)
     if p.shape != r.shape:
         raise DimensionError(f"P shape {p.shape} does not match R shape {r.shape}")
     sigma = singular_values(r)
     _require_contraction(sigma, tol)
-    if hermiticity_defect(p) > tol or np.abs(p @ p - p).max() > 1e-8:
+    if hermiticity_defect(p).max() > tol or np.abs(p @ p - p).max() > 1e-8:
         raise ProjectorError("P is not an orthogonal projector within tolerance")
-    w = psd_sqrt(np.eye(r.shape[0]) - r.conj().T @ r)
+    w = psd_sqrt(np.eye(r.shape[-1]) - _dag(r) @ r)
     return _with_sigma(QFMap(r, hermitian_part(w @ p @ w)), sigma)
 
 
@@ -263,21 +281,27 @@ MODE_LIMIT = 4
 
 
 def _compound(m: np.ndarray, k: int) -> np.ndarray:
-    """k-th compound matrix: minors det(m[rows, cols]) over k-subsets.
+    """k-th compound matrix: minors det(m[rows, cols]) over k-subsets; of each matrix of a stack.
 
     Equals the restriction of the k-fold tensor power to the antisymmetric
     subspace, in the basis of lexicographically ordered Slater vectors.
     """
-    n = m.shape[0]
+    n = m.shape[-1]
     if k == 0:
-        return np.ones((1, 1), dtype=m.dtype)
+        return np.ones(m.shape[:-2] + (1, 1), dtype=m.dtype)
     subs = np.array(list(combinations(range(n), k)))
-    # The C(n,k)**2 minors as one (C, C, k, k) stack, in one det call.
-    return np.linalg.det(m[subs[:, None, :, None], subs[None, :, None, :]])
+    # The C(n,k)**2 minors as one (..., C, C, k, k) stack, in one det call.
+    return np.linalg.det(m[..., subs[:, None, :, None], subs[None, :, None, :]])
+
+
+def _sector(n: int, k: int) -> slice:
+    """The rows of the k-particle sector of N modes' Fock space."""
+    start = sum(math.comb(n, j) for j in range(k))
+    return slice(start, start + math.comb(n, k))
 
 
 def fock_density(q: np.ndarray, tol: float = SYMBOL_TOL) -> np.ndarray:
-    """Density matrix of the quasi-free state with symbol Q on Fock space.
+    """Density matrix of the quasi-free state with symbol Q on Fock space, or of each symbol of a stack.
 
     The 2**N-dimensional space is ordered by particle sectors k = 0..N,
     each sector in lexicographic Slater order.  For eigenvalues strictly
@@ -288,30 +312,32 @@ def fock_density(q: np.ndarray, tol: float = SYMBOL_TOL) -> np.ndarray:
     """
     q = np.asarray(q, dtype=complex)
     vals, vecs = eig_hermitian(q, hermit_tol=tol)
-    check_spectrum(vals, tol, upper=1.0, error=ConstraintError, what="symbol")
-    n = q.shape[0]
+    _symbol_bounds(vals, tol)
+    n = q.shape[-1]
     if n > MODE_LIMIT:
         raise ModeLimitError(f"explicit Fock construction limited to {MODE_LIMIT} modes")
-    vals = np.clip(vals, 0.0, 1.0)
-    dim = 2**n
-    out = np.zeros((dim, dim), dtype=complex)
-    if vals.max() < 1 - tol:
-        ratio = (vecs * (vals / (1 - vals))) @ vecs.conj().T
-        weight = float(np.prod(1 - vals))
-        offset = 0
-        for k in range(n + 1):
-            block = weight * _compound(ratio, k)
-            s = block.shape[0]
-            out[offset : offset + s, offset : offset + s] = block
-            offset += s
-    elif np.abs(vals - np.round(vals)).max() <= tol:
-        # projector symbol: pure Slater-type state in the rank-k sector
-        k = int(np.round(vals.sum()))
-        offset = sum(math.comb(n, j) for j in range(k))
-        block = _compound((vecs * np.round(vals)) @ vecs.conj().T, k)
-        out[offset : offset + block.shape[0], offset : offset + block.shape[0]] = block
-    else:
+    lead = q.shape[:-2]
+    vals, vecs = np.clip(vals, 0.0, 1.0).reshape(-1, n), vecs.reshape(-1, n, n)
+    interior = vals.max(axis=-1) < 1 - tol
+    units = np.round(vals)
+    projector = ~interior & (np.abs(vals - units).max(axis=-1) <= tol)
+    if not np.all(interior | projector):
         raise SingularSymbolError(
             "symbol has a unit eigenvalue but is not a projector; no finite density form"
         )
-    return out
+    out = np.zeros((len(vals), 2**n, 2**n), dtype=complex)
+    v, x = vecs[interior], vals[interior]
+    ratio = (v * (x / (1 - x))[:, None, :]) @ _dag(v)
+    weight = np.prod(1 - x, axis=-1)[:, None, None]
+    for k in range(n + 1):
+        sector = _sector(n, k)
+        out[interior, sector, sector] = weight * _compound(ratio, k)
+    # projector symbols: pure Slater-type states in the sector of their rank,
+    # one rank at a time, since the rank sets the sector and the compound
+    ranks = np.round(vals.sum(axis=-1)).astype(int)
+    for k in set(ranks[projector].tolist()):
+        members = projector & (ranks == k)
+        v = vecs[members]
+        sector = _sector(n, k)
+        out[members, sector, sector] = _compound((v * units[members][:, None, :]) @ _dag(v), k)
+    return out.reshape(lead + out.shape[-2:])

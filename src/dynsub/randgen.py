@@ -4,6 +4,14 @@ Randomness is organized in counter-based streams: a stream is identified by
 ``(master_seed, stream_index)`` and its output is independent of how
 samples are scheduled or batched, so a violating sample can always be
 replayed from its index.
+
+The quasi-free samplers are split in two.  A ``draw_*`` function takes all
+of one sample's draws from its stream, none of which depends on a
+linear-algebra result, and returns them as a tuple; a builder turns draws
+into objects, on stacks of many samples' draws (:func:`stack_draws`) as on
+one sample's, and gives each member the bits of its own build.  A batch
+thus draws sample by sample, in each stream's order, and runs its linear
+algebra once per stack.
 """
 
 from __future__ import annotations
@@ -15,8 +23,8 @@ import numpy as np
 
 from .channels import Channel
 from .errors import ConvergenceError, DomainError
-from .matcore import _square_side, hermitian_part, partial_trace, psd_inv_sqrt, psd_sqrt
-from .quasifree import QFMap, qf_bistochastic, qf_extreme
+from .matcore import _dag, _square_side, hermitian_part, partial_trace, psd_inv_sqrt, psd_sqrt
+from .quasifree import QFMap, qf_bistochastic
 
 
 @dataclass(frozen=True)
@@ -51,11 +59,16 @@ def ginibre(n: int, rng) -> np.ndarray:
     return (g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))) / np.sqrt(2)
 
 
+def _haar(gm: np.ndarray) -> np.ndarray:
+    """The Haar unitary of a Ginibre matrix, or of each matrix of a stack: Q of its QR, phases fixed by R."""
+    q, r = np.linalg.qr(gm)
+    d = np.diagonal(r, axis1=-2, axis2=-1).copy()
+    return q * (d / np.abs(d))[..., None, :]
+
+
 def haar_unitary(n: int, rng) -> np.ndarray:
     """Haar-distributed unitary via QR of a Ginibre matrix."""
-    q, r = np.linalg.qr(ginibre(n, rng))
-    d = np.diag(r)
-    return q * (d / np.abs(d))
+    return _haar(ginibre(n, rng))
 
 
 def random_density(n: int, rng) -> np.ndarray:
@@ -203,30 +216,107 @@ def random_bistochastic_matrix(n: int, rng, tol: float = 1e-12, max_iter: int = 
     return matrix_sinkhorn(positive_matrix(n, rng)[None], tol, max_iter)[0]
 
 
+def stack_draws(draws: list[tuple]) -> tuple:
+    """The draws of several samples, one ``draw_*`` tuple each, stacked field by field."""
+    return tuple(np.array(field) for field in zip(*draws))
+
+
+def draw_symbol(n: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """The draws of :func:`random_symbol`: a Ginibre matrix, then N eigenvalues uniform in (0, 1)."""
+    g = _gen(rng)
+    return ginibre(n, g), g.uniform(0.0, 1.0, n)
+
+
+def symbols(gm: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The symbols V diag(weights) V^dag, V the Haar unitary of ``gm``; of one draw or of stacks."""
+    v = _haar(gm)
+    return hermitian_part((v * weights[..., None, :]) @ _dag(v))
+
+
 def random_symbol(n: int, rng) -> np.ndarray:
     """Random quasi-free state symbol with eigenvalues uniform in (0, 1)."""
+    return symbols(*draw_symbol(n, rng))
+
+
+def draw_contraction(n: int, rng) -> tuple[np.ndarray, float]:
+    """The draws of :func:`random_contraction`: a Ginibre matrix, then a norm uniform in [0, 1)."""
     g = _gen(rng)
-    v = haar_unitary(n, g)
-    return hermitian_part((v * g.uniform(0.0, 1.0, n)) @ v.conj().T)
+    return ginibre(n, g), g.uniform(0.0, 1.0)
+
+
+def contractions(gm: np.ndarray, norm) -> np.ndarray:
+    """``gm`` rescaled to operator norm ``norm``; of one draw or of stacks."""
+    top = np.linalg.svd(gm, compute_uv=False)[..., :1, None]
+    return gm / top * np.asarray(norm)[..., None, None]
 
 
 def random_contraction(n: int, rng) -> np.ndarray:
     """Ginibre matrix rescaled to operator norm uniform in [0, 1)."""
+    return contractions(*draw_contraction(n, rng))
+
+
+def draw_projector(n: int, rng, rank: int | None = None) -> tuple[np.ndarray, int]:
+    """The draws of :func:`random_projector`: the rank unless given, then a Ginibre matrix.
+
+    A rank-0 projector draws no matrix; zeros stand in for it.
+    """
     g = _gen(rng)
-    gm = ginibre(n, g)
-    top = np.linalg.svd(gm, compute_uv=False)[0]
-    return gm / top * g.uniform(0.0, 1.0)
+    if rank is None:
+        rank = int(g.integers(0, n + 1))
+    return (ginibre(n, g) if rank else np.zeros((n, n), dtype=complex)), rank
+
+
+def projectors(gm: np.ndarray, rank: np.ndarray) -> np.ndarray:
+    """Projectors U_k U_k^dag on the first ``rank`` columns of the Haar unitaries of a ``(B, N, N)`` stack.
+
+    ``rank`` holds the ``(B,)`` ranks; a member of rank 0 is the zero
+    matrix.  Members are taken one rank at a time, so each product has the
+    inner dimension of its own draw's.
+    """
+    out = np.zeros(gm.shape, dtype=complex)
+    for k in set(rank.tolist()) - {0}:
+        members = rank == k
+        u = _haar(gm[members])[..., :k]
+        out[members] = u @ _dag(u)
+    return out
 
 
 def random_projector(n: int, rng, rank: int | None = None) -> np.ndarray:
     """Haar-random orthogonal projector; rank uniform in 0..N when not given."""
+    gm, rank = draw_projector(n, rng, rank)
+    return projectors(gm[None], np.array([rank]))[0]
+
+
+def draw_qf_map(n: int, rng) -> tuple:
+    """The draws of a general :func:`random_qf_map`, the arguments of :func:`qf_maps`.
+
+    R's :func:`draw_contraction`, then an even coin for an extreme map,
+    then the :func:`draw_projector` of an extreme map (no weights: zeros
+    stand in) or the :func:`draw_symbol` of an interior one (rank 0).
+    """
     g = _gen(rng)
-    if rank is None:
-        rank = int(g.integers(0, n + 1))
-    if rank == 0:
-        return np.zeros((n, n), dtype=complex)
-    u = haar_unitary(n, g)[:, :rank]
-    return u @ u.conj().T
+    gm, norm = draw_contraction(n, g)
+    if g.uniform() < 0.5:
+        x, rank = draw_projector(n, g)
+        return gm, norm, True, x, rank, np.zeros(n)
+    x, weights = draw_symbol(n, g)
+    return gm, norm, False, x, 0, weights
+
+
+def qf_maps(gm, norm, extreme, x, rank, weights) -> QFMap:
+    """The general maps of a stack of :func:`draw_qf_map` draws, ``(B, ...)`` each.
+
+    R is the contraction of ``(gm, norm)`` and Z = W C W with
+    W = sqrt(1 - R^dag R): C is the member's projector where ``extreme``
+    (the extreme map that ``quasifree.qf_extreme`` builds), else its symbol
+    0 <= C <= 1 (an interior map).
+    """
+    r = contractions(gm, norm)
+    c = projectors(x, rank)  # an interior member has rank 0: zeros until its symbol
+    interior = ~extreme
+    c[interior] = symbols(x[interior], weights[interior])
+    w = psd_sqrt(np.eye(r.shape[-1]) - _dag(r) @ r)
+    return QFMap(r, hermitian_part(w @ c @ w))
 
 
 def random_qf_map(n: int, rng, bistochastic: bool = False) -> QFMap:
@@ -238,11 +328,7 @@ def random_qf_map(n: int, rng, bistochastic: bool = False) -> QFMap:
     0 <= C <= 1, with even odds.
     """
     g = _gen(rng)
-    r = random_contraction(n, g)
     if bistochastic:
-        return qf_bistochastic(r)
-    if g.uniform() < 0.5:
-        return qf_extreme(r, random_projector(n, g))
-    c = random_symbol(n, g)
-    w = psd_sqrt(np.eye(n) - r.conj().T @ r)
-    return QFMap(r, hermitian_part(w @ c @ w))
+        return qf_bistochastic(random_contraction(n, g))
+    m = qf_maps(*stack_draws([draw_qf_map(n, g)]))
+    return QFMap(m.r[0], m.z[0])

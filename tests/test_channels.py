@@ -114,13 +114,12 @@ def test_to_kraus_requires_cp():
 
 def test_a_channel_checks_the_hermiticity_of_d_once(monkeypatch):
     # is_cp and choi_eig share one measurement of D's defect; the spectrum of
-    # D/N behind is_cp checks D/N.
+    # D/N behind is_cp checks D/N.  Both measurements go through
+    # matcore._defect, which the spectral kernel calls with the conjugate
+    # transpose it also symmetrizes with.
     calls = []
-    for module in (channels, matcore):
-        original = module.hermiticity_defect
-        monkeypatch.setattr(
-            module, "hermiticity_defect", lambda x, f=original: calls.append(x.shape) or f(x)
-        )
+    original = matcore._defect
+    monkeypatch.setattr(matcore, "_defect", lambda x, x_dag: calls.append(x.shape) or original(x, x_dag))
     ch = random_channel(2, 3)
     calls.clear()
     to_kraus(ch)

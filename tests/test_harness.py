@@ -151,12 +151,12 @@ def test_a_lindblad_batch_takes_a_rank_deficient_channel(monkeypatch):
     assert all(c.passed for checks in batch for c in checks)
 
 
-# SVDs per 64-mode quasifree sample at seed 42: one in each of the four
-# random contractions, one per bistochastic map's norm check, one for
-# S(Phi_2 Phi_1) on R_1 R_2, and one per extreme map among the two general
-# draws (an interior draw needs none).  Samples 0, 3 and 5 draw no extreme
-# map, 1 draws one and 2 and 4 draw two.
-QF64_SVDS = {0: 7, 1: 8, 2: 9, 3: 7, 4: 9, 5: 7}
+# SVDs per 64-mode quasifree chunk of one sample: one in each of the four
+# random contractions, one per bistochastic map's norm check and one for
+# S(Phi_2 Phi_1) on R_1 R_2.  The general maps' Z take none, extreme or
+# interior; at seed 42 samples 0, 3 and 5 draw no extreme map, 1 draws one
+# and 2 and 4 draw two.
+QF64_SVDS = 7
 
 
 def test_quasifree_64_lapack_budget(monkeypatch):
@@ -170,13 +170,38 @@ def test_quasifree_64_lapack_budget(monkeypatch):
             return f(a, *args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
-    for index, svds in QF64_SVDS.items():
+    chunks = []
+
+    def chunk(*args, f=harness._quasifree_chunk):
         for calls in shapes.values():
             calls.clear()
-        evaluate_sample("quasifree", 64, 42, index)
-        assert shapes["eigvalsh"] == [(128, 128)] * 3, index
-        assert shapes["svd"] == [(64, 64)] * svds, index
-        assert shapes["block"] == [], index
+        checks = f(*args)
+        chunks.append({name: list(calls) for name, calls in shapes.items()})
+        return checks
+
+    monkeypatch.setattr(harness, "_quasifree_chunk", chunk)
+    _cores(monkeypatch, 1)  # serial: every chunk runs in this process
+    evaluate_samples("quasifree", 64, 42, range(6))
+    assert len(chunks) == 6  # a 64-mode chunk holds one sample
+    for calls in chunks:
+        assert calls["eigvalsh"] == [(1, 128, 128)] * 3
+        assert calls["svd"] == [(1, 64, 64)] * QF64_SVDS
+        assert calls["block"] == []
+
+
+def test_quasifree_4_mode_calls_do_not_grow_with_the_batch(monkeypatch):
+    # A 4-mode batch is one chunk, its kernels run once per stack.  At seed 5
+    # each batch draws extreme and interior maps in both general roles.
+    counts = {name: _count_calls(monkeypatch, [np.linalg], name) for name in ("eigvalsh", "svd")}
+    counts["eta"] = _count_calls(monkeypatch, [matcore, qf], "eta")
+    per_batch = {}
+    for size in (8, 64):
+        for calls in counts.values():
+            calls.clear()
+        evaluate_samples("quasifree", 4, 5, range(size))
+        per_batch[size] = {name: len(calls) for name, calls in counts.items()}
+    assert per_batch[8] == per_batch[64]
+    assert per_batch[8]["svd"] == 7  # four contractions, both norm checks and R_1 R_2
 
 
 @pytest.mark.parametrize(
@@ -431,6 +456,35 @@ def test_sinkhorn_starts_keep_their_draw_order(suite, monkeypatch):
     assert traces == pytest.approx(START_TRACE_PINS[suite], rel=1e-9)
 
 
+# Traces of what sample i at seed 42 draws at 4 modes, in draw order: the Z
+# of Phi_1, Phi_2 and the two general maps, then the oracle's and the Fock
+# check's symbols.  Recorded when the suite drew sample by sample.  The
+# slacks in DRAW_ORDER_PINS see the general maps only through round-off
+# residuals, so these traces pin their draws: R, the extreme/interior coin,
+# the projector's rank and matrix, or the symbol's.  Sample 0's second
+# general map is a projector of rank N; sample 23's first is one of rank 0,
+# which draws no matrix, so the draws after it pin that too.
+QF_DRAW_PINS = {
+    0: [1.535902176880248, 1.9950430475912684, 2.2117512676017217, 3.7255338068802475, 1.7884263277275532, 2.34958858120711],
+    1: [1.1177856228862497, 1.2728094037104527, 2.493037001327879, 1.9311612713547752, 3.1581325062110803, 2.3686942309127743],
+    2: [1.3893487447726618, 1.9770449414178242, 1.1311652709924849, 1.8819253500899467, 2.241608837266974, 1.2215883448481477],
+    3: [1.9212460164645941, 1.9790816223188208, 2.0378700170786566, 2.1136975230953725, 2.540061568694496, 1.3578904534208085],
+    23: [1.99339637217592, 1.70489258495725, 0.0, 1.1985622429627134, 2.023244320628948, 2.243625130047088],
+}
+
+
+def test_quasifree_draws_keep_their_order(monkeypatch):
+    built = []
+    for module, name in ((qf, "qf_bistochastic"), (harness, "qf_maps"), (harness, "symbols")):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, f=original: built.append(f(*a)) or built[-1])
+    indices = list(QF_DRAW_PINS)
+    evaluate_samples("quasifree", 4, 42, indices)
+    traces = [np.trace(getattr(x, "z", x), axis1=-2, axis2=-1).real for x in built]
+    for k, index in enumerate(indices):
+        assert [t[k] for t in traces] == pytest.approx(QF_DRAW_PINS[index], rel=1e-9), index
+
+
 # Negative controls: each quasifree check that compares two routes fails when
 # one route is off by 1e-6.  The subadditivity bounds have margins far above
 # 1e-6 on random draws, so their controls run at the equality case Phi_2 = id,
@@ -438,20 +492,18 @@ def test_sinkhorn_starts_keep_their_draw_order(suite, monkeypatch):
 
 
 def _record_qf_draws(monkeypatch, phi2_identity):
-    """The maps the quasifree suite draws, recorded as drawn."""
-    drawn, bistochastic_draws = [], []
-    original = harness.random_qf_map
+    """The bistochastic maps the quasifree suite draws, Phi_1 and Phi_2 of each chunk, recorded as built."""
+    drawn = []
+    original = qf.qf_bistochastic
 
-    def draw(modes, g, bistochastic=False):
-        m = original(modes, g, bistochastic)
-        if bistochastic:
-            bistochastic_draws.append(m)
-            if phi2_identity and len(bistochastic_draws) % 2 == 0:
-                m = qf.qf_bistochastic(np.eye(modes))
+    def build(r, *args):
+        m = original(r, *args)
+        if phi2_identity and len(drawn) % 2 == 1:
+            m = original(np.broadcast_to(np.eye(r.shape[-1]), r.shape))
         drawn.append(m)
         return m
 
-    monkeypatch.setattr(harness, "random_qf_map", draw)
+    monkeypatch.setattr(qf, "qf_bistochastic", build)
     return drawn
 
 

@@ -23,7 +23,7 @@ from dynsub.matcore import (
     validate_density_matrix,
     von_neumann_entropy,
 )
-from dynsub.quasifree import SYMBOL_TOL, fock_density, qf_state_entropy, qf_validate, validate_symbol
+from dynsub.quasifree import SYMBOL_TOL, fock_density, qf_state_entropy, qf_validate
 from dynsub.randgen import haar_unitary, random_density
 
 
@@ -235,7 +235,6 @@ def test_validate_density_matrix():
 VALIDATORS = {
     "validate_density_matrix": (validate_density_matrix, PositivityError, CLAMP_TOL),
     "von_neumann_entropy": (von_neumann_entropy, PositivityError, CLAMP_TOL),
-    "validate_symbol": (validate_symbol, ConstraintError, SYMBOL_TOL),
     "qf_state_entropy": (qf_state_entropy, ConstraintError, SYMBOL_TOL),
     "fock_density": (fock_density, ConstraintError, SYMBOL_TOL),
     "qf_validate": (lambda z: qf_validate(np.zeros((2, 2)), z), ConstraintError, SYMBOL_TOL),

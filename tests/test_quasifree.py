@@ -28,7 +28,6 @@ from dynsub.quasifree import (
     qf_odot_symbol,
     qf_state_entropy,
     qf_validate,
-    validate_symbol,
 )
 from dynsub.randgen import (
     haar_unitary,
@@ -72,9 +71,15 @@ def test_validate_rejects_violated_constraint():
 
 
 def test_validate_symbol_bounds():
-    validate_symbol(np.eye(3) / 2)
+    qf_state_entropy(np.eye(3) / 2)
     with pytest.raises(ConstraintError):
-        validate_symbol(1.5 * np.eye(2))
+        qf_state_entropy(1.5 * np.eye(2))
+
+
+def test_map_entropy_checks_the_symbol_bounds():
+    # The map symbol is Hermitian by construction, but its spectrum's bounds are checked.
+    with pytest.raises(ConstraintError):
+        qf_map_entropy(QFMap(np.zeros((2, 2)), 2 * np.eye(2)))
 
 
 # -- symbol action and composition ------------------------------------------------
@@ -143,7 +148,7 @@ def test_jam_symbol_top_left_block_always_half_identity():
     m = random_qf_map(4, 9)
     sym = qf_jam_symbol(m)
     assert np.abs(sym[:4, :4] - np.eye(4) / 2).max() == 0
-    validate_symbol(sym)
+    qf_state_entropy(sym)
 
 
 def test_jam_symbol_bistochastic_spectrum():

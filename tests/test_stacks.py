@@ -1,9 +1,9 @@
 """Stack-polymorphic kernels: a stack gives each member the bits of its own call.
 
 Each kernel is called on stacks of 1, 7 and 256 members at N = 1..6 (the
-channel kernels at N = 1..4) and compared, bit for bit, with its calls on
-the members one at a time, which return Python floats where a stack returns
-arrays.  A validator given a stack with exactly one bad member raises what
+channel kernels at N = 1..4, the quasi-free ones at N = 1..4 and 8) and
+compared, bit for bit, with its calls on the members one at a time, which
+return Python floats where a stack returns arrays.  A validator given a stack with exactly one bad member raises what
 it raises for that member.
 """
 
@@ -11,21 +11,41 @@ import numpy as np
 import pytest
 
 from dynsub import channels, classical, harness, matcore, statecomp
+from dynsub import quasifree as qf
 from dynsub.channels import Channel
 from dynsub.errors import (
     BistochasticityError,
     ClassError,
+    ConstraintError,
     DomainError,
     DynsubError,
     HermiticityError,
+    NormError,
     PositivityError,
+    ProjectorError,
+    SingularSymbolError,
     StochasticityError,
     TraceError,
 )
 from dynsub.randgen import (
+    RngStream,
+    _haar,
+    contractions,
+    draw_contraction,
+    draw_projector,
+    draw_qf_map,
+    draw_symbol,
+    projectors,
+    qf_maps,
     random_bistochastic_matrix,
+    random_contraction,
     random_density,
+    random_projector,
+    random_qf_map,
     random_stochastic,
+    random_symbol,
+    stack_draws,
+    symbols,
     tp_renormalize,
     wishart_choi,
 )
@@ -33,6 +53,7 @@ from dynsub.randgen import (
 SIZES = (1, 7, 256)
 DIMS = (1, 2, 3, 4, 5, 6)
 CHANNEL_DIMS = (1, 2, 3, 4)
+QF_MODES = (1, 2, 3, 4, 8)
 
 
 def bits(x):
@@ -470,6 +491,129 @@ def test_one_state_outside_d_i_raises():
     for first, second in ((stack, states), (states, stack)):
         with pytest.raises(ClassError):
             statecomp.odot_state(first, second)
+
+
+# -- quasi-free ------------------------------------------------------------------------
+
+
+def streams(size, n, seed):
+    return [RngStream(seed, 100 * n + i) for i in range(size)]
+
+
+def own_projector(gm, k):
+    """The projector of one draw as one product of inner dimension ``k``, U_k U_k^dag."""
+    if k == 0:
+        return np.zeros(gm.shape, dtype=complex)
+    u = _haar(gm)[:, :k]
+    return u @ u.conj().T
+
+
+@pytest.mark.parametrize("size", SIZES)
+@pytest.mark.parametrize("n", QF_MODES)
+def test_quasifree_samplers_are_stack_polymorphic(n, size):
+    # Each builder's stack against the single-draw samplers on the same streams.
+    ss = streams(size, n, 70)
+    draws = [draw_contraction(n, s) for s in ss]
+    assert_member_arrays(contractions(*stack_draws(draws)), [random_contraction(n, s) for s in ss])
+    draws = [draw_symbol(n, s) for s in ss]
+    assert_member_arrays(symbols(*stack_draws(draws)), [random_symbol(n, s) for s in ss])
+    # every rank from 0 to N, a projector's own inner dimension
+    ranks = [i % (n + 1) for i in range(size)]
+    draws = [draw_projector(n, s, k) for s, k in zip(ss, ranks)]
+    stacked = projectors(*stack_draws(draws))
+    assert_member_arrays(stacked, [random_projector(n, s, k) for s, k in zip(ss, ranks)])
+    assert_member_arrays(stacked, [own_projector(gm, k) for gm, k in draws])
+    draws = stack_draws([draw_qf_map(n, s) for s in ss])
+    if size > 1:
+        assert 0 < draws[2].sum() < size  # extreme and interior members
+    stacked = qf_maps(*draws)
+    singles = [random_qf_map(n, s) for s in ss]
+    assert_member_arrays(stacked.r, [m.r for m in singles])
+    assert_member_arrays(stacked.z, [m.z for m in singles])
+
+
+def bistochastic_maps(size, n, seed):
+    g = np.random.default_rng(seed)
+    return qf.qf_bistochastic(contractions(*stack_draws([draw_contraction(n, g) for _ in range(size)])))
+
+
+def general_maps(size, n, seed):
+    g = np.random.default_rng(seed)
+    return qf_maps(*stack_draws([draw_qf_map(n, g) for _ in range(size)]))
+
+
+def qf_symbols(size, n, seed):
+    g = np.random.default_rng(seed)
+    return symbols(*stack_draws([draw_symbol(n, g) for _ in range(size)]))
+
+
+def members(m):
+    return [qf.QFMap(r, z) for r, z in zip(m.r, m.z)]
+
+
+def assert_map_members(stacked, singles):
+    assert_member_arrays(stacked.r, [m.r for m in singles])
+    assert_member_arrays(stacked.z, [m.z for m in singles])
+    assert_member_arrays(stacked.sigma, [m.sigma for m in singles])
+
+
+@pytest.mark.parametrize("size", SIZES)
+@pytest.mark.parametrize("n", QF_MODES)
+def test_quasifree_kernels_are_stack_polymorphic(n, size):
+    b = bistochastic_maps(size, n, n + size)
+    bs = [qf.qf_bistochastic(r) for r in b.r]
+    assert_map_members(b, bs)
+    assert_map_members(qf.qf_adjoint(b), [qf.qf_adjoint(m) for m in bs])
+    assert_members(qf.qf_map_entropy(b), [qf.qf_map_entropy(m) for m in bs])
+    assert_members(qf.qf_bistochastic_entropy(b), [qf.qf_bistochastic_entropy(m) for m in bs])
+    assert_members(qf.qf_bistochastic_entropy(b.r), [qf.qf_bistochastic_entropy(r) for r in b.r])
+    assert_member_arrays(matcore.singular_values(b.r), [matcore.singular_values(r) for r in b.r])
+
+    m1, m2 = general_maps(size, n, 10 + n + size), general_maps(size, n, 20 + n + size)
+    q = qf_symbols(size, n, 30 + n + size)
+    s1, s2 = members(m1), members(m2)
+    assert_map_members(qf.qf_compose(m2, m1), [qf.qf_compose(b, a) for a, b in zip(s1, s2)])
+    assert_member_arrays(qf.qf_apply(m1, q), [qf.qf_apply(m, x) for m, x in zip(s1, q)])
+    j1, j2 = qf.qf_jam_symbol(m1), qf.qf_jam_symbol(m2)
+    assert_member_arrays(j1, [qf.qf_jam_symbol(m) for m in s1])
+    assert_member_arrays(qf.qf_odot_symbol(j2, j1), [qf.qf_odot_symbol(b, a) for a, b in zip(j1, j2)])
+    assert_members(qf.qf_state_entropy(q), [qf.qf_state_entropy(x) for x in q])
+    assert_members(qf.qf_map_entropy(m1), [qf.qf_map_entropy(m) for m in s1])
+
+    # projectors of every rank from 0 to N, the extreme maps' branch
+    g = np.random.default_rng(40 + n + size)
+    p = projectors(*stack_draws([draw_projector(n, g, i % (n + 1)) for i in range(size)]))
+    assert_map_members(qf.qf_extreme(b.r, p), [qf.qf_extreme(r, x) for r, x in zip(b.r, p)])
+    assert_member_arrays(matcore.psd_sqrt(q), [matcore.psd_sqrt(x) for x in q])
+    if n <= qf.MODE_LIMIT:
+        # interior symbols and projectors, the two branches of the Fock realization
+        mixed = np.concatenate([q, p])
+        assert_member_arrays(qf.fock_density(mixed), [qf.fock_density(x) for x in mixed])
+
+
+def not_a_projector(p):
+    return p + 1e-3 * np.eye(len(p))
+
+
+QF_VALIDATORS = {
+    # name: (call on one member or a stack, a bad member, the error)
+    "qf_state_entropy": (qf.qf_state_entropy, lambda q: 1.5 * q, ConstraintError),
+    "fock_density": (qf.fock_density, lambda q: np.diag([1.0] + [0.5] * (len(q) - 1)), SingularSymbolError),
+    "qf_bistochastic": (qf.qf_bistochastic, lambda q: 2 * np.eye(len(q)), NormError),
+    "qf_extreme": (lambda p: qf.qf_extreme(np.zeros(p.shape), p), not_a_projector, ProjectorError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(QF_VALIDATORS))
+def test_one_bad_quasifree_member_raises(name):
+    f, defect, error = QF_VALIDATORS[name]
+    good = qf_symbols(7, 3, 64) if name != "qf_extreme" else random_projector(3, 65)[None].repeat(7, axis=0)
+    f(good)
+    bad = defect(good[4])
+    with pytest.raises(error):
+        f(bad)
+    with pytest.raises(error):
+        f(with_bad_member(good, 4, bad))
 
 
 # -- suites --------------------------------------------------------------------------
